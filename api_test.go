@@ -151,7 +151,9 @@ func TestPublicLiveStackOverHub(t *testing.T) {
 	defer pEP.Close()
 
 	clk := sfd.NewRealClock()
-	mon := sfd.NewMonitor(clk, sfd.SFDFactory(sfd.Targets{}), sfd.MonitorOptions{})
+	mon := sfd.NewRegistry(clk, sfd.SFDFactory(sfd.Targets{}), sfd.RegistryOptions{})
+	mon.Start()
+	defer mon.Stop()
 	recv := sfd.NewHeartbeatReceiver(qEP, clk, mon.Observe)
 	recv.Start()
 
@@ -289,9 +291,9 @@ func TestPublicVariantDetectorsAndElector(t *testing.T) {
 		t.Fatal("variant detectors never suspect")
 	}
 
-	mon := sfd.NewMonitor(sfd.NewSimClock(0), func(string) sfd.Detector {
+	mon := sfd.NewRegistry(sfd.NewSimClock(0), func(string) sfd.Detector {
 		return sfd.NewChen(20, 100*msA, 100*msA)
-	}, sfd.MonitorOptions{})
+	}, sfd.RegistryOptions{})
 	for i := 0; i < 30; i++ {
 		send := sfd.Time(i) * sfd.Time(100*msA)
 		mon.Observe(sfd.HeartbeatArrival{From: "a", Seq: uint64(i), Send: send, Recv: send.Add(msA)})
@@ -312,9 +314,11 @@ func TestPublicVariantDetectorsAndElector(t *testing.T) {
 
 func TestPublicSimClusterDirect(t *testing.T) {
 	sc := sfd.NewSimCluster(sfd.LinkParams{DelayBase: 2 * msA}, 9)
-	mon := sc.AddMonitor("q", sfd.SFDFactory(sfd.Targets{}), sfd.MonitorOptions{})
+	mon := sc.AddMonitor("q", sfd.SFDFactory(sfd.Targets{}), sfd.RegistryOptions{})
 	sc.AddSender("p", 100*msA, msA, "q")
-	mon.Mon.Watch("p")
+	if err := mon.Mon.Register("p"); err != nil {
+		t.Fatal(err)
+	}
 	sc.RunFor(10*time.Second, 10*time.Millisecond)
 	if st, ok := mon.Mon.StatusOf("p", sc.Clk.Now()); !ok || st != sfd.PeerActive {
 		t.Fatalf("sim cluster peer status %v,%v", st, ok)

@@ -317,7 +317,9 @@ func runMonitor(listen, serve string, refresh time.Duration, targets sfd.Targets
 		fmt.Fprintln(os.Stderr, "sfdmon: -chaos forces -rxqueues=1 (the chaos pump drains one queue)")
 		rxQueues = 1
 	}
-	udp, err := sfd.ListenUDPOpts(listen, sfd.UDPOptions{Queues: rxQueues, Batch: rxBatch})
+	// Sized like every other monitor ingest socket: at tens of thousands
+	// of heartbeats/s the default SO_RCVBUF and buffer pool shed datagrams.
+	udp, err := sfd.ListenUDPOpts(listen, sfd.MonitorIngest(sfd.UDPOptions{Queues: rxQueues, Batch: rxBatch}))
 	if err != nil {
 		fatal(err)
 	}
@@ -710,7 +712,9 @@ func runDemo() {
 	defer sndEP.Close()
 
 	clk := sfd.NewRealClock()
-	mon := sfd.NewMonitor(clk, sfd.SFDFactory(sfd.Targets{MaxTD: time.Second, MaxMR: 1, MinQAP: 0.99}), sfd.MonitorOptions{})
+	mon := sfd.NewRegistry(clk, sfd.SFDFactory(sfd.Targets{MaxTD: time.Second, MaxMR: 1, MinQAP: 0.99}), sfd.RegistryOptions{})
+	mon.Start()
+	defer mon.Stop()
 	recv := sfd.NewHeartbeatReceiver(monEP, clk, mon.Observe)
 	recv.Start()
 
@@ -726,7 +730,7 @@ func runDemo() {
 	printDemo(mon, clk, "after crash")
 }
 
-func printDemo(mon *sfd.Monitor, clk sfd.Clock, label string) {
+func printDemo(mon *sfd.Registry, clk sfd.Clock, label string) {
 	for _, r := range mon.Snapshot(clk.Now()) {
 		fmt.Printf("demo [%s]: peer=%s status=%s suspicion=%.3f\n",
 			label, r.Peer, r.Status, r.SuspicionLevel)

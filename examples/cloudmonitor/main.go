@@ -20,7 +20,11 @@ func main() {
 		Interval:        100 * time.Millisecond,
 		Jitter:          2 * time.Millisecond,
 		Factory:         sfd.SFDFactory(targets),
-		Seed:            2012, // IPDPS 2012
+		// Keep offline servers on the board: the 6-minute load phase
+		// would otherwise evict the crashed GA/server-1 before the final
+		// status board.
+		Options: sfd.RegistryOptions{EvictAfter: -1},
+		Seed:    2012, // IPDPS 2012
 	})
 
 	fmt.Println("consortium: 5 education clouds × 3 servers, cross-monitored managers")

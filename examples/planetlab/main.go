@@ -32,7 +32,7 @@ func main() {
 		JitterStd:  6 * time.Millisecond,
 	}, 494)
 
-	mon := sc.AddMonitor("observatory", sfd.SFDFactory(targets), sfd.MonitorOptions{
+	mon := sc.AddMonitor("observatory", sfd.SFDFactory(targets), sfd.RegistryOptions{
 		OfflineAfter: 8 * time.Second,
 	})
 
@@ -40,7 +40,9 @@ func main() {
 	for i := range names {
 		names[i] = fmt.Sprintf("node-%03d", i)
 		s := sc.AddSender(names[i], 200*time.Millisecond, 10*time.Millisecond, "observatory")
-		mon.Mon.Watch(names[i])
+		if err := mon.Mon.Register(names[i]); err != nil {
+			panic(err)
+		}
 		switch {
 		case i < nBusy:
 			s.SetBusy(300 * time.Millisecond) // heavy loaded → slow

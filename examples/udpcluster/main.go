@@ -23,9 +23,11 @@ func main() {
 	defer monEP.Close()
 
 	targets := sfd.Targets{MaxTD: time.Second, MaxMR: 1, MinQAP: 0.99}
-	mon := sfd.NewMonitor(clk, sfd.SFDFactory(targets), sfd.MonitorOptions{
+	mon := sfd.NewRegistry(clk, sfd.SFDFactory(targets), sfd.RegistryOptions{
 		OfflineAfter: 5 * time.Second,
 	})
+	mon.Start()
+	defer mon.Stop()
 	recv := sfd.NewHeartbeatReceiver(monEP, clk, mon.Observe)
 	recv.Start()
 	fmt.Printf("monitor listening on %s\n", monEP.Addr())
@@ -77,7 +79,7 @@ func main() {
 	prb.Stop()
 }
 
-func board(mon *sfd.Monitor, clk sfd.Clock, label string) {
+func board(mon *sfd.Registry, clk sfd.Clock, label string) {
 	fmt.Printf("--- status board (%s) ---\n", label)
 	for _, r := range mon.Snapshot(clk.Now()) {
 		fmt.Printf("  %-22s %-10s level=%-8.2f lastSeq=%d\n",

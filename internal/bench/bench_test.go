@@ -60,7 +60,7 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestTable1ListsSixPairs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := registry["table1"].Run(Config{}, &buf); err != nil {
+	if err := catalog["table1"].Run(Config{}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -84,7 +84,7 @@ func TestTable1ListsSixPairs(t *testing.T) {
 
 func TestTable2RowsPerEnvironment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := registry["table2"].Run(Config{Heartbeats: 30_000}, &buf); err != nil {
+	if err := catalog["table2"].Run(Config{Heartbeats: 30_000}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -196,5 +196,27 @@ func TestDefaultTargetsSane(t *testing.T) {
 	}
 	if tg.MaxTD != 900*clock.Millisecond {
 		t.Fatalf("MaxTD = %v", tg.MaxTD)
+	}
+}
+
+// TestClusterRowsPinned pins the §VII consortium rows EXPERIMENTS.md
+// quotes. The scenario is deterministic on clock.Sim, so a change to the
+// monitor core that moves one detection or one quorum vote shows here.
+func TestClusterRowsPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := catalog["cluster"].Run(Config{}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `consortium warm: 35 peer views active across 5 clouds
+cloud          crashed        detection latency
+GA             GA/server-0    295ms
+SC             SC/server-0    290ms
+NC             NC/server-0    240ms
+VA             VA/server-0    280ms
+MD             MD/server-0    210ms
+cross-cloud quorum on GA/beacon crash: suspected=true votes=4/4
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("cluster rows changed:\n%s\nwant:\n%s", got, want)
 	}
 }

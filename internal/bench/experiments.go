@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/qos"
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
 
@@ -238,7 +239,7 @@ func runCluster(cfg Config, w io.Writer) error {
 	active := 0
 	for _, cl := range con.Clouds {
 		for _, r := range cl.Manager.Mon.Snapshot(now) {
-			if r.Status == cluster.StatusActive {
+			if r.Status == registry.StatusActive {
 				active++
 			}
 		}
@@ -252,13 +253,7 @@ func runCluster(cfg Config, w io.Writer) error {
 		cl := con.Clouds[name]
 		srv := cl.Servers[0]
 		srv.Crash()
-		peers := cl.Manager.Mon.Peers()
-		var peerName string
-		for _, p := range peers {
-			if p == name+"/server-0" {
-				peerName = p
-			}
-		}
+		peerName := name + "/server-0"
 		d, ok := con.DetectCrash(name+"/manager", peerName, 10*clock.Second)
 		if !ok {
 			return fmt.Errorf("cluster: %s crash not detected", peerName)

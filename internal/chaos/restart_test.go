@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
@@ -224,7 +223,7 @@ func TestAcceptKillRestartDrill(t *testing.T) {
 	}
 	// The flaky cohort's offline transition happened after the last full
 	// snapshot; seeing it here proves the delta journal replayed.
-	if st, ok := r2.StatusOf(names[flaky0], sim2.Now()); !ok || st != cluster.StatusOffline {
+	if st, ok := r2.StatusOf(names[flaky0], sim2.Now()); !ok || st != registry.StatusOffline {
 		t.Fatalf("%s restored as %v (ok=%v), want offline via journal replay", names[flaky0], st, ok)
 	}
 	r2.Start()
@@ -300,9 +299,9 @@ func TestAcceptKillRestartDrill(t *testing.T) {
 	// post-restart slots — the QoS re-convergence the paper's gap rule
 	// and the rewarm freeze exist to deliver.
 	now := sim2.Now()
-	for _, i := range []int{deadN, deadN + rebornN/2, deadN + rebornN, n/2, n - 1} {
+	for _, i := range []int{deadN, deadN + rebornN/2, deadN + rebornN, n / 2, n - 1} {
 		name := names[i]
-		if st, ok := r2.StatusOf(name, now); !ok || st != cluster.StatusActive {
+		if st, ok := r2.StatusOf(name, now); !ok || st != registry.StatusActive {
 			t.Fatalf("%s status = %v (ok=%v), want active", name, st, ok)
 		}
 		wantInc := incs[i]

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -10,152 +9,143 @@ import (
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 const msK = clock.Millisecond
 
-func chenFactory(alpha clock.Duration) Factory {
+func chenFactory(alpha clock.Duration) registry.Factory {
 	return func(string) detector.Detector {
 		return detector.NewChen(50, 100*msK, alpha)
 	}
 }
 
+// newMonitor returns an unstarted registry on its own simulated clock.
+// With no wheel driver it classifies at query time from the detector
+// alone, so a test can feed arrivals and ask about any instant.
+func newMonitor(f registry.Factory) *registry.Registry {
+	return registry.New(clock.NewSim(0), f, registry.Options{})
+}
+
+// startedMonitor returns the monitor SimCluster.AddMonitor builds — a
+// registry started on the simulation clock, so offline and eviction
+// transitions fire as the clock advances — together with that clock.
+func startedMonitor(f registry.Factory, opts registry.Options) (*registry.Registry, *clock.Sim) {
+	sc := NewSimCluster(netsim.LinkParams{}, 1)
+	return sc.AddMonitor("q", f, opts).Mon, sc.Clk
+}
+
+func watch(t *testing.T, m *registry.Registry, peer string) {
+	t.Helper()
+	if err := m.Register(peer); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// advanceTo moves a simulated clock forward to instant at (never back).
+func advanceTo(clk *clock.Sim, at clock.Time) clock.Time {
+	if d := at.Sub(clk.Now()); d > 0 {
+		clk.Advance(d)
+	}
+	return clk.Now()
+}
+
 // feedMonitor delivers n regular heartbeats from peer.
-func feedMonitor(m *Monitor, peer string, n int, iv clock.Duration) clock.Time {
+func feedMonitor(m *registry.Registry, peer string, n int, iv clock.Duration) clock.Time {
+	return feedFrom(m, nil, peer, 0, n, iv)
+}
+
+// feedFrom delivers heartbeats from..from+n-1 of a regular schedule;
+// with a clock it first advances to each arrival, as a live monitor
+// would see them.
+func feedFrom(m *registry.Registry, clk *clock.Sim, peer string, from, n int, iv clock.Duration) clock.Time {
 	var last clock.Time
-	for i := 0; i < n; i++ {
+	for i := from; i < from+n; i++ {
 		send := clock.Time(i) * clock.Time(iv)
 		recv := send.Add(2 * msK)
+		if clk != nil {
+			advanceTo(clk, recv)
+		}
 		m.Observe(heartbeat.Arrival{From: peer, Seq: uint64(i), Send: send, Recv: recv})
 		last = recv
 	}
 	return last
 }
 
-func TestStatusString(t *testing.T) {
-	for _, s := range []Status{StatusUnknown, StatusActive, StatusBusy, StatusSuspected, StatusOffline, Status(42)} {
-		if s.String() == "" {
-			t.Fatal("empty status string")
-		}
-	}
-}
-
 func TestMonitorLifecycle(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(50*msK), Options{})
-	m.Watch("p1")
-	m.Watch("p1") // idempotent
-	m.Watch("p2")
-	peers := m.Peers()
-	if len(peers) != 2 || peers[0] != "p1" || peers[1] != "p2" {
-		t.Fatalf("Peers = %v", peers)
+	m := newMonitor(chenFactory(50 * msK))
+	watch(t, m, "p1")
+	watch(t, m, "p1") // idempotent
+	watch(t, m, "p2")
+	if m.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", m.Len())
 	}
-	if st, ok := m.StatusOf("p1", 0); !ok || st != StatusUnknown {
+	if st, ok := m.StatusOf("p1", 0); !ok || st != registry.StatusUnknown {
 		t.Fatalf("fresh peer status = %v,%v", st, ok)
 	}
 	if _, ok := m.StatusOf("ghost", 0); ok {
 		t.Fatal("unknown peer reported ok")
 	}
-	m.Unwatch("p2")
-	if len(m.Peers()) != 1 {
-		t.Fatal("Unwatch failed")
+	if !m.Deregister("p2") || m.Len() != 1 {
+		t.Fatal("Deregister failed")
 	}
 }
 
 func TestMonitorActiveWhileHeartbeating(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	last := feedMonitor(m, "srv", 60, 100*msK)
-	st, ok := m.StatusOf("srv", last.Add(10*msK))
-	if !ok || st != StatusActive {
+	m, clk := startedMonitor(chenFactory(100*msK), registry.Options{})
+	last := feedFrom(m, clk, "srv", 0, 60, 100*msK)
+	st, ok := m.StatusOf("srv", advanceTo(clk, last.Add(10*msK)))
+	if !ok || st != registry.StatusActive {
 		t.Fatalf("status = %v, want active", st)
 	}
 }
 
 func TestMonitorSuspectsAfterSilence(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{OfflineAfter: 5 * clock.Second})
-	last := feedMonitor(m, "srv", 60, 100*msK)
+	m, clk := startedMonitor(chenFactory(100*msK), registry.Options{OfflineAfter: 5 * clock.Second})
+	last := feedFrom(m, clk, "srv", 0, 60, 100*msK)
 	// Soon after the freshness point the server is suspected...
-	st, _ := m.StatusOf("srv", last.Add(400*msK))
-	if st != StatusSuspected {
+	st, _ := m.StatusOf("srv", advanceTo(clk, last.Add(400*msK)))
+	if st != registry.StatusSuspected {
 		t.Fatalf("status after silence = %v, want suspected", st)
 	}
 	// ...and after the offline grace period it is declared offline.
-	st, _ = m.StatusOf("srv", last.Add(6*clock.Second))
-	if st != StatusOffline {
+	st, _ = m.StatusOf("srv", advanceTo(clk, last.Add(6*clock.Second)))
+	if st != registry.StatusOffline {
 		t.Fatalf("status after grace = %v, want offline", st)
 	}
 }
 
 func TestMonitorEvictOffline(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{OfflineAfter: 5 * clock.Second})
-	lastDead := feedMonitor(m, "dead", 60, 100*msK)
-	feedMonitor(m, "alive", 60, 100*msK)
-
-	// "dead" goes silent; "alive" keeps beating through the silence.
-	deadline := lastDead.Add(8 * clock.Second)
-	for i := 60; clock.Time(i)*clock.Time(100*msK) < deadline; i++ {
-		send := clock.Time(i) * clock.Time(100*msK)
-		m.Observe(heartbeat.Arrival{From: "alive", Seq: uint64(i), Send: send, Recv: send.Add(2 * msK)})
+	m, clk := startedMonitor(chenFactory(100*msK), registry.Options{
+		OfflineAfter: 5 * clock.Second,
+		EvictAfter:   3 * clock.Second,
+	})
+	// "dead" and "alive" beat together, then "dead" goes silent while
+	// "alive" keeps beating through the silence.
+	for i := 0; i < 60; i++ {
+		feedFrom(m, clk, "dead", i, 1, 100*msK)
+		feedFrom(m, clk, "alive", i, 1, 100*msK)
 	}
-
-	// Offline but within the eviction grace: nothing is removed.
-	at := lastDead.Add(6 * clock.Second)
-	if st, _ := m.StatusOf("dead", at); st != StatusOffline {
-		t.Fatalf("status = %v, want offline", st)
-	}
-	if ev := m.EvictOffline(at, 3*clock.Second); len(ev) != 0 {
-		t.Fatalf("evicted %v before grace elapsed", ev)
+	// Offline (from ≈ +5.2 s) but within the eviction grace: kept.
+	feedFrom(m, clk, "alive", 60, 60, 100*msK) // through dead's last beat + 6 s
+	if st, _ := m.StatusOf("dead", clk.Now()); st != registry.StatusOffline || m.Len() != 2 {
+		t.Fatalf("dead = %v with %d streams; want offline and kept", st, m.Len())
 	}
 
 	// Past OfflineAfter+grace: only the offline peer goes.
-	at = lastDead.Add(9 * clock.Second)
-	ev := m.EvictOffline(at, 3*clock.Second)
-	if len(ev) != 1 || ev[0] != "dead" {
-		t.Fatalf("evicted %v, want [dead]", ev)
+	feedFrom(m, clk, "alive", 120, 30, 100*msK) // through + 9 s
+	if _, ok := m.StatusOf("dead", clk.Now()); ok {
+		t.Fatal("offline peer not evicted")
 	}
-	if peers := m.Peers(); len(peers) != 1 || peers[0] != "alive" {
-		t.Fatalf("remaining peers %v, want [alive]", peers)
-	}
-	// Idempotent once the table is clean.
-	if ev := m.EvictOffline(at, 0); len(ev) != 0 {
-		t.Fatalf("second eviction removed %v", ev)
-	}
-}
-
-func TestMonitorBusyBandWithAccrual(t *testing.T) {
-	// SFD's accrual level consumes the margin gradually: between BusyLevel
-	// and SuspectLevel the server reports busy.
-	factory := func(string) detector.Detector {
-		return core.New(core.Config{WindowSize: 20, Interval: 100 * msK, InitialMargin: 200 * msK})
-	}
-	m := NewMonitor(clock.NewSim(0), factory, Options{BusyLevel: 0.5, SuspectLevel: 1.0})
-	var last clock.Time
-	for i := 0; i < 40; i++ {
-		send := clock.Time(i) * clock.Time(100*msK)
-		recv := send.Add(2 * msK)
-		m.Observe(heartbeat.Arrival{From: "srv", Seq: uint64(i), Send: send, Recv: recv})
-		last = recv
-	}
-	// At last + interval + 60% of margin: suspicion ≈ 0.6 → busy.
-	busyAt := last.Add(100 * msK).Add(120 * msK)
-	st, lvl := StatusUnknown, 0.0
-	if got, ok := m.StatusOf("srv", busyAt); ok {
-		st = got
-	}
-	snap := m.Snapshot(busyAt)
-	for _, r := range snap {
-		if r.Peer == "srv" {
-			lvl = r.SuspicionLevel
-		}
-	}
-	if st != StatusBusy {
-		t.Fatalf("status = %v (level %v), want busy", st, lvl)
+	if st, ok := m.StatusOf("alive", clk.Now()); !ok || st != registry.StatusActive || m.Len() != 1 {
+		t.Fatalf("alive = %v,%v with %d streams; want active and alone", st, ok, m.Len())
 	}
 }
 
 func TestMonitorRecoversFromWrongSuspicion(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(50*msK), Options{})
-	last := feedMonitor(m, "srv", 60, 100*msK)
-	if st, _ := m.StatusOf("srv", last.Add(500*msK)); st != StatusSuspected {
+	m, clk := startedMonitor(chenFactory(50*msK), registry.Options{})
+	last := feedFrom(m, clk, "srv", 0, 60, 100*msK)
+	if st, _ := m.StatusOf("srv", advanceTo(clk, last.Add(500*msK))); st != registry.StatusSuspected {
 		t.Fatal("not suspected during gap")
 	}
 	// Heartbeats resume (shifted 500 ms by the outage): once the sliding
@@ -165,10 +155,10 @@ func TestMonitorRecoversFromWrongSuspicion(t *testing.T) {
 	for k := 0; k < 60; k++ {
 		seq := uint64(60 + k)
 		send := last.Add(498*msK + clock.Duration(k)*100*msK)
-		lastRecv = last.Add(500*msK + clock.Duration(k)*100*msK)
+		lastRecv = advanceTo(clk, last.Add(500*msK+clock.Duration(k)*100*msK))
 		m.Observe(heartbeat.Arrival{From: "srv", Seq: seq, Send: send, Recv: lastRecv})
 	}
-	if st, _ := m.StatusOf("srv", lastRecv.Add(10*msK)); st != StatusActive {
+	if st, _ := m.StatusOf("srv", advanceTo(clk, lastRecv.Add(10*msK))); st != registry.StatusActive {
 		t.Fatalf("status after recovery = %v, want active", st)
 	}
 }
@@ -180,32 +170,32 @@ func TestMonitorMaxSilenceSafetyNet(t *testing.T) {
 	estFactory := func(string) detector.Detector {
 		return detector.NewChen(50, 0, 50*msK) // interval estimated: needs ≥2 arrivals
 	}
-	m := NewMonitor(clock.NewSim(0), estFactory, Options{MaxSilence: clock.Second})
-	m.Observe(heartbeat.Arrival{From: "flash", Seq: 0, Send: 0, Recv: clock.Time(msK)})
-	if st, _ := m.StatusOf("flash", clock.Time(500*msK)); st != StatusActive {
+	m, clk := startedMonitor(estFactory, registry.Options{MaxSilence: clock.Second})
+	m.Observe(heartbeat.Arrival{From: "flash", Seq: 0, Send: 0, Recv: advanceTo(clk, clock.Time(msK))})
+	if st, _ := m.StatusOf("flash", advanceTo(clk, clock.Time(500*msK))); st != registry.StatusActive {
 		t.Fatalf("status before MaxSilence = %v, want active", st)
 	}
-	if st, _ := m.StatusOf("flash", clock.Time(2*clock.Second)); st < StatusSuspected {
+	if st, _ := m.StatusOf("flash", advanceTo(clk, clock.Time(2*clock.Second))); st < registry.StatusSuspected {
 		t.Fatalf("status after MaxSilence = %v, want suspected", st)
 	}
-	// Without the net, the same peer stays active forever.
-	m2 := NewMonitor(clock.NewSim(0), estFactory, Options{})
-	m2.Observe(heartbeat.Arrival{From: "flash", Seq: 0, Send: 0, Recv: clock.Time(msK)})
-	if st, _ := m2.StatusOf("flash", clock.Time(3600*clock.Second)); st != StatusActive {
+	// Without the net, the same peer stays active indefinitely.
+	m2, clk2 := startedMonitor(estFactory, registry.Options{MaxSilence: -1})
+	m2.Observe(heartbeat.Arrival{From: "flash", Seq: 0, Send: 0, Recv: advanceTo(clk2, clock.Time(msK))})
+	if st, _ := m2.StatusOf("flash", advanceTo(clk2, clock.Time(600*clock.Second))); st != registry.StatusActive {
 		t.Fatalf("disabled net changed semantics: %v", st)
 	}
 }
 
 func TestMonitorAutoRegistersNewPeer(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(50*msK), Options{})
+	m := newMonitor(chenFactory(50 * msK))
 	m.Observe(heartbeat.Arrival{From: "newcomer", Seq: 0, Send: 0, Recv: clock.Time(msK)})
-	if len(m.Peers()) != 1 {
+	if _, ok := m.StatusOf("newcomer", clock.Time(msK)); !ok || m.Len() != 1 {
 		t.Fatal("auto-registration failed")
 	}
 }
 
 func TestMonitorStaleArrivalIgnored(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(50*msK), Options{})
+	m := newMonitor(chenFactory(50 * msK))
 	feedMonitor(m, "srv", 10, 100*msK)
 	snapBefore := m.Snapshot(clock.Time(clock.Second))
 	m.Observe(heartbeat.Arrival{From: "srv", Seq: 3, Send: 0, Recv: clock.Time(2 * clock.Second)})
@@ -215,32 +205,14 @@ func TestMonitorStaleArrivalIgnored(t *testing.T) {
 	}
 }
 
-func TestSnapshotSortedAndComplete(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(50*msK), Options{})
-	for _, p := range []string{"zeta", "alpha", "mid"} {
-		m.Watch(p)
-	}
-	snap := m.Snapshot(0)
-	if len(snap) != 3 || snap[0].Peer != "alpha" || snap[2].Peer != "zeta" {
-		t.Fatalf("snapshot order wrong: %+v", snap)
-	}
-	for _, r := range snap {
-		if r.Status != StatusUnknown || r.Detector == "" {
-			t.Fatalf("fresh peer report wrong: %+v", r)
-		}
-	}
-}
-
 func TestQuorumMasksSingleMonitorMistake(t *testing.T) {
-	clk := clock.NewSim(0)
-	mk := func() *Monitor { return NewMonitor(clk, chenFactory(50*msK), Options{}) }
-	m1, m2, m3 := mk(), mk(), mk()
+	m1, m2, m3 := newMonitor(chenFactory(50*msK)), newMonitor(chenFactory(50*msK)), newMonitor(chenFactory(50*msK))
 	// All three watch srv; m1 misses the last heartbeats (its own path
 	// lost them), so it alone suspects.
 	last := feedMonitor(m2, "srv", 60, 100*msK)
 	feedMonitor(m3, "srv", 60, 100*msK)
 	feedMonitor(m1, "srv", 55, 100*msK)
-	q := Quorum{Monitors: []*Monitor{m1, m2, m3}}
+	q := Quorum{Monitors: []StatusSource{m1, m2, m3}}
 	now := last.Add(50 * msK)
 	sus, votes := q.Suspected("srv", now)
 	if sus {
@@ -258,15 +230,17 @@ func TestQuorumMasksSingleMonitorMistake(t *testing.T) {
 
 func TestSimClusterCrashDetection(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 5 * msK, JitterMean: msK, JitterStd: msK}, 1)
-	mon := sc.AddMonitor("q", chenFactory(100*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(100*msK), registry.Options{})
 	srv := sc.AddSender("p", 100*msK, 2*msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 
 	sc.RunFor(20*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("server not active while alive: %v", st)
 	}
 	srv.Crash()
+	_, crashAt := srv.Crashed()
+	mon.Mon.MarkFailure("p", crashAt)
 	lat, ok := sc.DetectCrash("q", "p", 10*clock.Second)
 	if !ok {
 		t.Fatal("crash never detected")
@@ -275,19 +249,22 @@ func TestSimClusterCrashDetection(t *testing.T) {
 	if lat > clock.Second {
 		t.Fatalf("detection latency %v too large", lat)
 	}
-	if p50, p99, ok := mon.Mon.DetectionLatency(); !ok || p50 <= 0 || p99 < p50 {
-		t.Fatalf("latency quantiles wrong: %v/%v/%v", p50, p99, ok)
+	// The registry's ground-truth tap pairs the crash with the wheel's
+	// suspect transition, which fires within one tick of the query.
+	sc.RunFor(20*msK, 10*msK)
+	if dl := mon.Mon.DetectionLatency(); dl.Samples != 1 || dl.P50 <= 0 || dl.P50 > clock.Second.Seconds() {
+		t.Fatalf("ground-truth latency = %+v", dl)
 	}
 }
 
 func TestSimClusterOneMonitorsMultiple(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 2)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), registry.Options{})
 	const n = 10
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("p%d", i)
 		sc.AddSender(name, 100*msK, 2*msK, "q")
-		mon.Mon.Watch(name)
+		watch(t, mon.Mon, name)
 	}
 	sc.RunFor(15*clock.Second, 10*msK)
 	snap := mon.Mon.Snapshot(sc.Clk.Now())
@@ -295,7 +272,7 @@ func TestSimClusterOneMonitorsMultiple(t *testing.T) {
 		t.Fatalf("snapshot has %d peers, want %d", len(snap), n)
 	}
 	for _, r := range snap {
-		if r.Status != StatusActive {
+		if r.Status != registry.StatusActive {
 			t.Fatalf("%s: status %v, want active", r.Peer, r.Status)
 		}
 	}
@@ -307,10 +284,10 @@ func TestSimClusterOneMonitorsMultiple(t *testing.T) {
 	now := sc.Clk.Now()
 	for i := 0; i < n; i++ {
 		st, _ := mon.Mon.StatusOf(fmt.Sprintf("p%d", i), now)
-		if i < 3 && st < StatusSuspected {
+		if i < 3 && st < registry.StatusSuspected {
 			t.Fatalf("crashed p%d not suspected: %v", i, st)
 		}
-		if i >= 3 && st != StatusActive {
+		if i >= 3 && st != registry.StatusActive {
 			t.Fatalf("alive p%d wrongly %v", i, st)
 		}
 	}
@@ -321,9 +298,9 @@ func TestSimClusterBusyServer(t *testing.T) {
 		return core.New(core.Config{WindowSize: 30, Interval: 100 * msK, InitialMargin: 300 * msK})
 	}
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 3)
-	mon := sc.AddMonitor("q", factory, Options{BusyLevel: 0.3, SuspectLevel: 1.0})
+	mon := sc.AddMonitor("q", factory, registry.Options{BusyLevel: 0.3, SuspectLevel: 1.0})
 	srv := sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(10*clock.Second, 10*msK)
 
 	// Make the server sluggish: +150 ms per beat stretches arrivals into
@@ -332,7 +309,7 @@ func TestSimClusterBusyServer(t *testing.T) {
 	sawBusy := false
 	for i := 0; i < 400; i++ {
 		sc.RunFor(50*msK, 10*msK)
-		if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st == StatusBusy {
+		if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st == registry.StatusBusy {
 			sawBusy = true
 			break
 		}
@@ -360,7 +337,7 @@ func TestConsortiumScenario(t *testing.T) {
 	for name, cl := range con.Clouds {
 		for _, srv := range cl.Servers {
 			st, ok := cl.Manager.Mon.StatusOf(srv.name, now)
-			if !ok || st != StatusActive {
+			if !ok || st != registry.StatusActive {
 				t.Fatalf("%s: server %s status %v", name, srv.name, st)
 			}
 		}
@@ -372,7 +349,7 @@ func TestConsortiumScenario(t *testing.T) {
 				continue
 			}
 			st, ok := cl.Manager.Mon.StatusOf(other+"/beacon", now)
-			if !ok || st != StatusActive {
+			if !ok || st != registry.StatusActive {
 				t.Fatalf("%s: beacon of %s status %v (ok=%v)", name, other, st, ok)
 			}
 		}
@@ -390,7 +367,7 @@ func TestConsortiumScenario(t *testing.T) {
 
 func TestDetectCrashEdgeCases(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: msK}, 4)
-	sc.AddMonitor("q", chenFactory(100*msK), Options{})
+	sc.AddMonitor("q", chenFactory(100*msK), registry.Options{})
 	sc.AddSender("p", 100*msK, 0, "q")
 	// Unknown names.
 	if _, ok := sc.DetectCrash("ghost", "p", clock.Second); ok {
@@ -402,33 +379,5 @@ func TestDetectCrashEdgeCases(t *testing.T) {
 	// Peer not crashed.
 	if _, ok := sc.DetectCrash("q", "p", clock.Second); ok {
 		t.Fatal("DetectCrash on live peer succeeded")
-	}
-}
-
-func TestScoreboardFormatting(t *testing.T) {
-	if FormatSnapshot(nil) != "(no peers)\n" {
-		t.Fatal("empty snapshot format wrong")
-	}
-	reports := []Report{
-		{Peer: "a", Status: StatusActive, Detector: "SFD"},
-		{Peer: "b", Status: StatusSuspected, SuspicionLevel: 3.2, Detector: "SFD"},
-		{Peer: "c", Status: StatusOffline, SuspicionLevel: 42, Detector: "SFD"},
-	}
-	board := FormatSnapshot(reports)
-	for _, want := range []string{"a", "b", "c", "suspected", "offline", "detector"} {
-		if !strings.Contains(board, want) {
-			t.Fatalf("board missing %q:\n%s", want, board)
-		}
-	}
-	counts, attention := Summarize(reports)
-	if counts[StatusActive] != 1 || counts[StatusSuspected] != 1 || counts[StatusOffline] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if len(attention) != 2 || attention[0] != "b" || attention[1] != "c" {
-		t.Fatalf("attention = %v", attention)
-	}
-	sum := FormatSummary(reports, 0)
-	if !strings.Contains(sum, "active=1") || !strings.Contains(sum, "investigate: b c") {
-		t.Fatalf("summary = %q", sum)
 	}
 }

@@ -5,15 +5,42 @@ import (
 	"sync"
 
 	"repro/internal/clock"
+	"repro/internal/registry"
 )
 
-// StatusSource is the suspicion oracle an Elector consults: anything
-// that can classify a peer at an instant. *Monitor satisfies it, and so
-// does the registry's StatusOf — the federation tier elects its active
-// aggregator straight off the liveness registry its peers heartbeat
-// into (digest-as-heartbeat, no second detector stack).
+// StatusSource is the suspicion oracle an Elector or Quorum consults:
+// anything that can classify a peer at an instant. *registry.Registry
+// satisfies it — the federation tier elects its active aggregator
+// straight off the liveness registry its peers heartbeat into
+// (digest-as-heartbeat, no second detector stack).
 type StatusSource interface {
-	StatusOf(peer string, now clock.Time) (Status, bool)
+	StatusOf(peer string, now clock.Time) (registry.Status, bool)
+}
+
+// Quorum aggregates several monitors' views of the same peer set — the
+// "multiple monitor multiple" deployment of §VII. A peer is suspected
+// globally when at least Need monitors classify it at or above
+// StatusSuspected; this masks individual monitors' wrong suspicions
+// caused by their own network paths.
+type Quorum struct {
+	Monitors []StatusSource
+	Need     int
+}
+
+// Suspected reports whether the quorum suspects the peer at instant now,
+// along with the per-monitor vote count.
+func (q Quorum) Suspected(peer string, now clock.Time) (bool, int) {
+	votes := 0
+	for _, m := range q.Monitors {
+		if st, ok := m.StatusOf(peer, now); ok && st >= registry.StatusSuspected {
+			votes++
+		}
+	}
+	need := q.Need
+	if need <= 0 {
+		need = len(q.Monitors)/2 + 1
+	}
+	return votes >= need, votes
 }
 
 // Elector implements Ω — eventual leader election — by the classic
@@ -55,7 +82,7 @@ func (e *Elector) Leader(now clock.Time) string {
 			break
 		}
 		st, ok := e.mon.StatusOf(c, now)
-		if ok && st != StatusUnknown && st < StatusSuspected {
+		if ok && st != registry.StatusUnknown && st < registry.StatusSuspected {
 			leader = c
 			break
 		}

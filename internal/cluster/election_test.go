@@ -7,10 +7,11 @@ import (
 	"repro/internal/clock"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 func TestElectorPicksLowestAliveCandidate(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	last := feedMonitor(m, "a", 60, 100*msK)
 	feedMonitor(m, "b", 75, 100*msK) // b keeps heartbeating past a's silence
 	e := NewElector("c", m, []string{"c", "a", "b"})
@@ -31,7 +32,7 @@ func TestElectorPicksLowestAliveCandidate(t *testing.T) {
 }
 
 func TestElectorFallsBackToSelf(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	last := feedMonitor(m, "a", 60, 100*msK)
 	e := NewElector("z", m, []string{"a", "z"})
 	if l := e.Leader(last.Add(10 * clock.Second)); l != "z" {
@@ -40,7 +41,7 @@ func TestElectorFallsBackToSelf(t *testing.T) {
 }
 
 func TestElectorSelfIsNeverSuspected(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	e := NewElector("a", m, []string{"a", "b"})
 	// No heartbeats at all: "a" leads because it is self.
 	if l := e.Leader(clock.Time(clock.Second)); l != "a" {
@@ -49,8 +50,8 @@ func TestElectorSelfIsNeverSuspected(t *testing.T) {
 }
 
 func TestElectorUnknownPeersSkipped(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
-	m.Watch("a") // watched but never heard from
+	m := newMonitor(chenFactory(100 * msK))
+	_ = m.Register("a") // watched but never heard from
 	last := feedMonitor(m, "b", 60, 100*msK)
 	e := NewElector("c", m, []string{"a", "b", "c"})
 	if l := e.Leader(last.Add(10 * msK)); l != "b" {
@@ -59,7 +60,7 @@ func TestElectorUnknownPeersSkipped(t *testing.T) {
 }
 
 func TestElectorOnChangeCallback(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	last := feedMonitor(m, "a", 60, 100*msK)
 	e := NewElector("b", m, []string{"a", "b"})
 	var transitions []string
@@ -86,7 +87,7 @@ func TestElectionConvergesAcrossSimCluster(t *testing.T) {
 	monitors := make([]*SimMonitor, n)
 	electors := make([]*Elector, n)
 	for i, name := range names {
-		monitors[i] = sc.AddMonitor(name+"/mon", chenFactory(200*msK), Options{})
+		monitors[i] = sc.AddMonitor(name+"/mon", chenFactory(200*msK), registry.Options{})
 	}
 	for i, name := range names {
 		var targets []string
@@ -98,7 +99,7 @@ func TestElectionConvergesAcrossSimCluster(t *testing.T) {
 		sc.AddSender(name, 100*msK, 2*msK, targets...)
 		for j := range names {
 			if j != i {
-				monitors[j].Mon.Watch(name)
+				_ = monitors[j].Mon.Register(name)
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func TestElectionConvergesAcrossSimCluster(t *testing.T) {
 // lower-ranked peer is unknown, demotes when that peer appears, promotes
 // when it goes silent, and demotes again when it recovers.
 func TestElectorOnChangePromotionDemotion(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	e := NewElector("b", m, []string{"a", "b"})
 	var promotions, demotions int
 	e.OnChange(func(old, new string, at clock.Time) {
@@ -199,7 +200,7 @@ func TestElectorOnChangePromotionDemotion(t *testing.T) {
 // often Leader is polled, and every registered subscriber sees every
 // transition exactly once.
 func TestElectorOnChangeStability(t *testing.T) {
-	m := NewMonitor(clock.NewSim(0), chenFactory(100*msK), Options{})
+	m := newMonitor(chenFactory(100 * msK))
 	last := feedMonitor(m, "a", 60, 100*msK)
 	e := NewElector("b", m, []string{"a", "b"})
 	var first, second int

@@ -8,6 +8,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 // Failure-injection scenarios across the monitoring stack: partitions,
@@ -17,17 +18,17 @@ import (
 
 func TestPartitionCausesSuspicionHealRestores(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 21)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), registry.Options{})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(10*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("pre-partition status %v", st)
 	}
 
 	sc.Net.Partition("p", "q")
 	sc.RunFor(2*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st < StatusSuspected {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st < registry.StatusSuspected {
 		t.Fatalf("status during partition %v, want suspected", st)
 	}
 
@@ -35,16 +36,16 @@ func TestPartitionCausesSuspicionHealRestores(t *testing.T) {
 	// After healing, heartbeats resume; once the window re-learns the
 	// schedule the server must be trusted again.
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after heal %v, want active", st)
 	}
 }
 
 func TestPartitionFlappingNeverWedgesMonitor(t *testing.T) {
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 22)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), registry.Options{})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(8*clock.Second, 10*msK)
 
 	// 10 cycles of 1s cut / 2s heal.
@@ -57,7 +58,7 @@ func TestPartitionFlappingNeverWedgesMonitor(t *testing.T) {
 	// Long calm period: the monitor must converge back to active, not
 	// wedge in suspected (state machine correctness under flapping).
 	sc.RunFor(60*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after flapping settled: %v, want active", st)
 	}
 }
@@ -67,15 +68,15 @@ func TestLongOutageThenRecoveryWithSFD(t *testing.T) {
 		return core.New(core.Config{WindowSize: 50, Interval: 100 * msK, InitialMargin: 200 * msK})
 	}
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 23)
-	mon := sc.AddMonitor("q", factory, Options{OfflineAfter: 5 * clock.Second})
+	mon := sc.AddMonitor("q", factory, registry.Options{OfflineAfter: 5 * clock.Second})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(10*clock.Second, 10*msK)
 
 	// 30-second outage: suspected, then declared offline.
 	sc.Net.Partition("p", "q")
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusOffline {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusOffline {
 		t.Fatalf("status after long outage %v, want offline", st)
 	}
 
@@ -84,7 +85,7 @@ func TestLongOutageThenRecoveryWithSFD(t *testing.T) {
 	// heartbeats must be reinstated.
 	sc.Net.Heal("p", "q")
 	sc.RunFor(60*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after outage recovery %v, want active", st)
 	}
 }
@@ -94,16 +95,16 @@ func TestClockJumpBehavesLikePause(t *testing.T) {
 	// land at the jump target. The monitor must suspect during the frozen
 	// span and recover afterward.
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK}, 24)
-	mon := sc.AddMonitor("q", chenFactory(150*msK), Options{})
+	mon := sc.AddMonitor("q", chenFactory(150*msK), registry.Options{})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(10*clock.Second, 10*msK)
 
 	sc.Clk.Jump(5 * clock.Second) // everything pending lands "now"
 	// Immediately after the jump, arrivals that were in flight are all
 	// stamped at the landing instant; feed them and let the system run.
 	sc.RunFor(30*clock.Second, 10*msK)
-	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != StatusActive {
+	if st, _ := mon.Mon.StatusOf("p", sc.Clk.Now()); st != registry.StatusActive {
 		t.Fatalf("status after clock jump %v, want active", st)
 	}
 }
@@ -115,8 +116,8 @@ func TestInboxSaturationDegradesGracefully(t *testing.T) {
 	clk := clock.NewSim(0)
 	net := netsim.New(clk, netsim.LinkParams{DelayBase: msK}, 25)
 	m := &SimMonitor{name: "q", node: net.AddNode("q", 2),
-		Mon: NewMonitor(clk, chenFactory(300*msK), Options{})}
-	m.Mon.Watch("p")
+		Mon: registry.New(clk, chenFactory(300*msK), registry.Options{})}
+	watch(t, m.Mon, "p")
 	sender := net.AddNode("p", 4)
 
 	// Blast 50 heartbeats per pump window; only ~2 survive each round.
@@ -152,25 +153,27 @@ func TestSFDReactsToNetworkDegradation(t *testing.T) {
 		})
 	}
 	sc := NewSimCluster(netsim.LinkParams{DelayBase: 2 * msK, JitterMean: msK, JitterStd: msK}, 26)
-	mon := sc.AddMonitor("q", factory, Options{})
+	mon := sc.AddMonitor("q", factory, registry.Options{})
 	sc.AddSender("p", 100*msK, msK, "q")
-	mon.Mon.Watch("p")
+	watch(t, mon.Mon, "p")
 	sc.RunFor(60*clock.Second, 10*msK)
 
-	var det *core.SFD
-	mon.Mon.mu.Lock()
-	det = mon.Mon.peers["p"].det.(*core.SFD)
-	mon.Mon.mu.Unlock()
-	calmMargin := det.Margin()
+	margin := func() (m clock.Duration, st core.State) {
+		mon.Mon.Inspect("p", func(d detector.Detector) {
+			m, st = d.(*core.SFD).Margin(), d.(*core.SFD).State()
+		})
+		return m, st
+	}
+	calmMargin, _ := margin()
 
 	// Degrade the network violently.
 	sc.Net.SetLink("p", "q", netsim.LinkParams{
 		DelayBase: 2 * msK, JitterMean: 60 * msK, JitterStd: 80 * msK,
 	})
 	sc.RunFor(240*clock.Second, 10*msK)
-	if det.Margin() <= calmMargin {
+	if now, st := margin(); now <= calmMargin {
 		t.Fatalf("margin did not grow after degradation: calm=%v now=%v (state %v)",
-			calmMargin, det.Margin(), det.State())
+			calmMargin, now, st)
 	}
 }
 

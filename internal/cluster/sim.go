@@ -1,3 +1,12 @@
+// Package cluster provides the cloud-monitoring layer of the paper's
+// model (Fig. 1): a deterministic multi-cloud simulation in which
+// monitors watch many servers with one failure detector each ("one
+// monitors multiple"), a quorum combining several monitors' views
+// ("multiple monitor multiple", §VII), Ω leader election over any
+// status source, and the graduated-reaction pattern of §I. Every
+// simulated monitor is a registry.Registry on the simulation's clock,
+// so the simulation and the live daemon share one monitor core and one
+// status model (active, busy/slow, suspected, offline).
 package cluster
 
 import (
@@ -8,7 +17,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
-	"repro/internal/stats"
+	"repro/internal/registry"
 )
 
 // SimCluster is a deterministic multi-node monitoring deployment over the
@@ -111,25 +120,27 @@ func (s *SimSender) SetBusy(extra clock.Duration) {
 // Sent returns the number of heartbeats emitted.
 func (s *SimSender) Sent() uint64 { return s.seq }
 
-// SimMonitor couples a network node with a Monitor, decoding heartbeat
-// datagrams from the node's inbox.
+// SimMonitor couples a network node with a monitoring registry, decoding
+// heartbeat datagrams from the node's inbox.
 type SimMonitor struct {
 	name string
 	node *netsim.Node
-	Mon  *Monitor
+	Mon  *registry.Registry
 }
 
 // AddMonitor registers a monitoring process using the given detector
-// factory and options.
-func (c *SimCluster) AddMonitor(name string, factory Factory, opts Options) *SimMonitor {
+// factory and options. Its registry runs on the simulation's clock, so
+// suspect/offline/evict transitions fire as RunFor advances time.
+func (c *SimCluster) AddMonitor(name string, factory registry.Factory, opts registry.Options) *SimMonitor {
 	if _, dup := c.monitors[name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate monitor %q", name))
 	}
 	m := &SimMonitor{
 		name: name,
 		node: c.Net.AddNode(name, 4096),
-		Mon:  NewMonitor(c.Clk, factory, opts),
+		Mon:  registry.New(c.Clk, factory, opts),
 	}
+	m.Mon.Start()
 	c.monitors[name] = m
 	return m
 }
@@ -181,9 +192,9 @@ func (c *SimCluster) RunFor(total, step clock.Duration) {
 }
 
 // DetectCrash advances simulated time until the named monitor classifies
-// the peer at or above StatusSuspected, or maxWait elapses. It returns
-// the detection latency measured from the peer's crash instant; ok is
-// false on timeout or if the peer never crashed.
+// the peer at or above registry.StatusSuspected, or maxWait elapses. It
+// returns the detection latency measured from the peer's crash instant;
+// ok is false on timeout or if the peer never crashed.
 func (c *SimCluster) DetectCrash(monitor, peer string, maxWait clock.Duration) (clock.Duration, bool) {
 	m := c.monitors[monitor]
 	s := c.senders[peer]
@@ -199,10 +210,8 @@ func (c *SimCluster) DetectCrash(monitor, peer string, maxWait clock.Duration) (
 	for c.Clk.Now().Before(deadline) {
 		c.Clk.Advance(step)
 		m.pump()
-		if st, ok := m.Mon.StatusOf(peer, c.Clk.Now()); ok && st >= StatusSuspected {
-			lat := c.Clk.Now().Sub(at)
-			m.Mon.RecordDetectionLatency(lat)
-			return lat, true
+		if st, ok := m.Mon.StatusOf(peer, c.Clk.Now()); ok && st >= registry.StatusSuspected {
+			return c.Clk.Now().Sub(at), true
 		}
 	}
 	return 0, false
@@ -233,8 +242,8 @@ type ConsortiumConfig struct {
 	Jitter          clock.Duration
 	IntraCloud      netsim.LinkParams // manager ↔ own servers
 	InterCloud      netsim.LinkParams // manager ↔ manager (WAN)
-	Factory         Factory
-	Options         Options
+	Factory         registry.Factory
+	Options         registry.Options
 	Seed            int64
 }
 
@@ -275,13 +284,18 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 		mon := sc.AddMonitor(managerAddr(name), cfg.Factory, cfg.Options)
 		con.Clouds[name] = &Cloud{Name: name, Manager: mon}
 	}
+	watch := func(m *SimMonitor, peer string) {
+		if err := m.Mon.Register(peer); err != nil {
+			panic(fmt.Sprintf("cluster: %v", err))
+		}
+	}
 	// Servers heartbeat to their own manager.
 	for _, name := range cfg.CloudNames {
 		cl := con.Clouds[name]
 		for i := 0; i < cfg.ServersPerCloud; i++ {
 			srvName := fmt.Sprintf("%s/server-%d", name, i)
 			s := sc.AddSender(srvName, cfg.Interval, cfg.Jitter, managerAddr(name))
-			cl.Manager.Mon.Watch(srvName)
+			watch(cl.Manager, srvName)
 			cl.Servers = append(cl.Servers, s)
 		}
 	}
@@ -303,7 +317,7 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 				continue
 			}
 			sc.Net.SetLink(beaconName, managerAddr(b), cfg.InterCloud)
-			con.Clouds[b].Manager.Mon.Watch(beaconName)
+			watch(con.Clouds[b].Manager, beaconName)
 		}
 	}
 	return con
@@ -312,7 +326,7 @@ func BuildConsortium(cfg ConsortiumConfig) *Consortium {
 // CrossCloudQuorum returns a Quorum over every cloud manager except the
 // named cloud's own (a cloud cannot vote on itself).
 func (c *Consortium) CrossCloudQuorum(excludeCloud string) Quorum {
-	var mons []*Monitor
+	var mons []StatusSource
 	names := make([]string, 0, len(c.Clouds))
 	for n := range c.Clouds {
 		names = append(names, n)
@@ -325,15 +339,4 @@ func (c *Consortium) CrossCloudQuorum(excludeCloud string) Quorum {
 		mons = append(mons, c.Clouds[n].Manager.Mon)
 	}
 	return Quorum{Monitors: mons}
-}
-
-// LatencySummary aggregates detection latencies recorded across all of a
-// consortium's managers.
-func (c *Consortium) LatencySummary() (w stats.Welford) {
-	for _, cl := range c.Clouds {
-		if p50, _, ok := cl.Manager.Mon.DetectionLatency(); ok {
-			w.Add(float64(p50))
-		}
-	}
-	return w
 }

@@ -30,10 +30,10 @@ import (
 	"sort"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
+	"repro/internal/registry"
 )
 
 // msgKind discriminates consensus wire messages.
@@ -68,14 +68,16 @@ const (
 
 // Process is one consensus participant. It owns a netsim node, a
 // heartbeat beacon to its peers, and a failure-detector monitor over
-// them.
+// them. The monitor is a registry left unstarted: the protocol only asks
+// whether the current coordinator is suspected, which the registry
+// answers at query time from the detector alone.
 type Process struct {
 	id    int
 	n     int
 	names []string
 	node  *netsim.Node
 	clk   *clock.Sim
-	mon   *cluster.Monitor
+	mon   *registry.Registry
 
 	estimate string
 	ts       int
@@ -114,7 +116,7 @@ type Options struct {
 	N          int               // number of processes (≥ 3)
 	Link       netsim.LinkParams // consensus + heartbeat links (should be loss-free for liveness)
 	HBInterval clock.Duration    // heartbeat period (default 50 ms)
-	Factory    cluster.Factory   // detector per peer (default: Chen with 4×HBInterval margin)
+	Factory    registry.Factory  // detector per peer (default: Chen with 4×HBInterval margin)
 	Seed       int64
 	// StartDelay postpones the consensus protocol (heartbeats flow from
 	// t=0) so detectors build arrival history first — the paper's
@@ -156,7 +158,7 @@ func New(opts Options) *Cluster {
 			id: i, n: opts.N, names: names,
 			node: net.AddNode(names[i], 4096),
 			clk:  clk,
-			mon:  cluster.NewMonitor(clk, opts.Factory, cluster.Options{}),
+			mon:  registry.New(clk, opts.Factory, registry.Options{}),
 			ts:   -1, hbInterval: opts.HBInterval,
 			startAt:   clock.Time(opts.StartDelay),
 			estimates: make(map[int]message),
@@ -165,7 +167,7 @@ func New(opts Options) *Cluster {
 		}
 		for j, name := range names {
 			if j != i {
-				p.mon.Watch(name)
+				_ = p.mon.Register(name) // "p<i>" is always a valid stream name
 			}
 		}
 		c.Procs = append(c.Procs, p)
@@ -337,8 +339,8 @@ func (p *Process) step(now clock.Time) {
 		// the FD contract only promises *eventual* suspicion of crashed
 		// processes.
 		st, ok := p.mon.StatusOf(p.names[c], now)
-		suspected := ok && st >= cluster.StatusSuspected
-		if !suspected && st == cluster.StatusUnknown &&
+		suspected := ok && st >= registry.StatusSuspected
+		if !suspected && st == registry.StatusUnknown &&
 			now.Sub(p.waitingSince) > 20*p.hbInterval {
 			suspected = true
 		}

@@ -129,3 +129,32 @@ func TestSlotQAPNeverNegative(t *testing.T) {
 		t.Fatalf("QAP = %v out of [0,1]", q.QAP)
 	}
 }
+
+// TestLastAdjustmentPastHistoryCap: the adjustment log stops growing at
+// HistoryCap, but LastAdjustment feeds the per-stream QoS gauges and the
+// federation digest, so it must keep reporting the newest slot. With a
+// cap of 3 and 10-heartbeat slots, 300 heartbeats evaluate far more
+// than 3 slots; the report must match an uncapped twin's.
+func TestLastAdjustmentPastHistoryCap(t *testing.T) {
+	cfg := Config{
+		WindowSize: 10, Interval: 100 * msC, SlotHeartbeats: 10, HistoryCap: 3,
+		Targets: Targets{MaxTD: clock.Second, MaxMR: 1, MinQAP: 0.9},
+	}
+	capped := New(cfg)
+	cfg.HistoryCap = 0
+	twin := New(cfg)
+	feedRegular(capped, 300, 100*msC)
+	feedRegular(twin, 300, 100*msC)
+
+	want, ok := twin.LastAdjustment()
+	if !ok || want.Slot <= 3 {
+		t.Fatalf("uncapped twin's last slot = %d (ok=%v); the probe needs more than 3 slots", want.Slot, ok)
+	}
+	got, ok := capped.LastAdjustment()
+	if !ok || got != want {
+		t.Fatalf("LastAdjustment = %+v (ok=%v), want the newest slot %+v", got, ok, want)
+	}
+	if n := len(capped.History()); n != 3 {
+		t.Fatalf("history grew to %d entries past its cap of 3", n)
+	}
+}

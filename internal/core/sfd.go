@@ -92,7 +92,9 @@ type Config struct {
 	// the gap quickly; shrinking on overshoot kills the oscillation the
 	// step-size ablation exhibits.
 	AdaptiveStep bool
-	// HistoryCap bounds the retained adjustment history (0 = 4096).
+	// HistoryCap bounds the retained adjustment history (0 = 4096). Past
+	// the cap the first HistoryCap-1 slots are kept and the last entry
+	// always holds the newest slot.
 	HistoryCap int
 }
 
@@ -363,10 +365,14 @@ func (s *SFD) closeSlot(now clock.Time) {
 		s.state = StateTuning
 	}
 
+	adj := Adjustment{Slot: s.slotIndex, At: now, Measured: measured, Verdict: v, Margin: s.margin}
 	if len(s.history) < s.cfg.HistoryCap {
-		s.history = append(s.history, Adjustment{
-			Slot: s.slotIndex, At: now, Measured: measured, Verdict: v, Margin: s.margin,
-		})
+		s.history = append(s.history, adj)
+	} else {
+		// At the cap the newest slot overwrites the last entry, so
+		// LastAdjustment (and every gauge built on it) keeps moving
+		// without per-stream state growing.
+		s.history[len(s.history)-1] = adj
 	}
 }
 
@@ -455,7 +461,8 @@ func (s *SFD) Response() string {
 	}
 }
 
-// History returns the adjustment log (one entry per evaluated slot).
+// History returns the adjustment log: one entry per evaluated slot up to
+// Config.HistoryCap, after which the last entry tracks the newest slot.
 func (s *SFD) History() []Adjustment { return s.history }
 
 // LastAdjustment returns the most recent slot evaluation, if any — the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/heartbeat"
+	"repro/internal/registry"
 )
 
 // Aggregator high availability: each region runs an active/standby pair.
@@ -122,13 +123,13 @@ func (a *Aggregator) Peers() []PeerInfo {
 // skips it until its anti-entropy completes.
 type peerStatusSource struct{ a *Aggregator }
 
-func (s peerStatusSource) StatusOf(peer string, now clock.Time) (cluster.Status, bool) {
+func (s peerStatusSource) StatusOf(peer string, now clock.Time) (registry.Status, bool) {
 	s.a.mu.Lock()
 	ps := s.a.peers[peer]
 	ready := ps != nil && ps.ready
 	s.a.mu.Unlock()
 	if !ready {
-		return cluster.StatusSuspected, ps != nil
+		return registry.StatusSuspected, ps != nil
 	}
 	return s.a.liveness.StatusOf(peer, now)
 }

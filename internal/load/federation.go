@@ -152,11 +152,11 @@ type FederationReport struct {
 	Seed            int64 `json:"seed"`
 
 	// Availability, as the /fleet pollers saw it.
-	Polls       int     `json:"fleet_polls"`
-	Served      int     `json:"fleet_polls_served"`
-	FleetGapS   float64 `json:"fleet_gap_s"`   // longest no-leader span
-	PromotionS  float64 `json:"promotion_s"`   // agg kill → standby serving as leader
-	FailbackS   float64 `json:"failback_s"`    // agg restart → old active leading again
+	Polls         int     `json:"fleet_polls"`
+	Served        int     `json:"fleet_polls_served"`
+	FleetGapS     float64 `json:"fleet_gap_s"`     // longest no-leader span
+	PromotionS    float64 `json:"promotion_s"`     // agg kill → standby serving as leader
+	FailbackS     float64 `json:"failback_s"`      // agg restart → old active leading again
 	KilledAgg     string  `json:"killed_agg"`      // which aggregator the script killed
 	RestartAfterS float64 `json:"restart_after_s"` // kill → scripted restart delay (<0: stayed dead)
 	FinalLeader   string  `json:"final_leader"`    // leader at run end
@@ -329,9 +329,7 @@ func (n *fedLeafNode) stop() {
 }
 
 func startFedLeafNode(id, region string, aggAddrs []string, spec *FederationSpec, clk clock.Clock) (*fedLeafNode, error) {
-	udp, err := transport.ListenUDPOpts("127.0.0.1:0", transport.UDPOptions{
-		Batch: 32, QueueLen: monitorQueueLen, PoolBuffers: monitorPoolBuffers,
-	})
+	udp, err := transport.ListenUDPOpts("127.0.0.1:0", transport.MonitorIngest(transport.UDPOptions{Batch: 32}))
 	if err != nil {
 		return nil, fmt.Errorf("load: leaf %s udp: %w", id, err)
 	}

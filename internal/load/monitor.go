@@ -15,8 +15,8 @@ import (
 	"repro/internal/transport"
 )
 
-// MonitorOptions configures one embedded monitor node.
-type MonitorOptions struct {
+// NodeOptions configures one embedded monitor node.
+type NodeOptions struct {
 	// Clock must be shared with the fleets and tracker so event
 	// timestamps subtract from fault instants on one timebase.
 	Clock clock.Clock
@@ -63,26 +63,8 @@ type MonitorNode struct {
 	evtDone  chan struct{}
 }
 
-// Monitor ingest sockets ask for a deep kernel receive buffer (at 50k
-// heartbeats/s the ~208 KiB SO_RCVBUF default holds under 5 ms of
-// traffic, so one GC pause sheds a burst of datagrams — which the
-// detector reads as correlated heartbeat loss across thousands of
-// streams) and a receive-buffer pool sized to cover the whole ingest
-// queue. The pool cap matters more than the queue depth: once in-flight
-// buffers exceed the pool, every further datagram allocates a fresh
-// 64 KiB buffer, and at fleet scale that GC pressure slows the consumer
-// further — a feedback loop that turns a 10 ms lag into seconds of
-// queue delay. The queue itself stays at its default depth on purpose:
-// past ~100 ms of backlog a heartbeat is as good as lost, so shedding
-// (counted in udp_dropped) beats delaying.
-const (
-	monitorReadBuffer  = 8 << 20 // kernel caps at net.core.rmem_max
-	monitorQueueLen    = 4096
-	monitorPoolBuffers = monitorQueueLen + 128
-)
-
 // StartMonitor boots a monitor node bound to loopback ephemeral ports.
-func StartMonitor(o MonitorOptions) (*MonitorNode, error) {
+func StartMonitor(o NodeOptions) (*MonitorNode, error) {
 	if o.Clock == nil {
 		o.Clock = clock.NewReal()
 	}
@@ -98,11 +80,9 @@ func StartMonitor(o MonitorOptions) (*MonitorNode, error) {
 	udp := o.Transport
 	if udp == nil {
 		var err error
-		udp, err = transport.ListenUDPOpts("127.0.0.1:0", transport.UDPOptions{
+		udp, err = transport.ListenUDPOpts("127.0.0.1:0", transport.MonitorIngest(transport.UDPOptions{
 			Queues: o.RxQueues, Batch: o.RxBatch,
-			QueueLen: monitorQueueLen, PoolBuffers: monitorPoolBuffers,
-			ReadBuffer: monitorReadBuffer,
-		})
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("load: monitor udp: %w", err)
 		}

@@ -77,7 +77,7 @@ func Run(spec Spec, progress io.Writer) (*Report, error) {
 				stateDirs = append(stateDirs, d)
 				dir = d
 			}
-			m, err := StartMonitor(MonitorOptions{
+			m, err := StartMonitor(NodeOptions{
 				Clock:        clk,
 				Factory:      factory,
 				OfflineAfter: spec.OfflineAfter,
@@ -106,7 +106,7 @@ func Run(spec Spec, progress io.Writer) (*Report, error) {
 			stateDirs = append(stateDirs, d)
 			dir = d
 		}
-		m, err := StartMonitor(MonitorOptions{
+		m, err := StartMonitor(NodeOptions{
 			Clock:        clk,
 			Factory:      factory,
 			OfflineAfter: spec.OfflineAfter,
@@ -318,10 +318,7 @@ func (b *boundUDP) closeFrom(i int) {
 func preBindAddrs(n int) (*boundUDP, error) {
 	out := &boundUDP{}
 	for i := 0; i < n; i++ {
-		u, err := transport.ListenUDPOpts("127.0.0.1:0", transport.UDPOptions{
-			Batch: 32, QueueLen: monitorQueueLen, PoolBuffers: monitorPoolBuffers,
-			ReadBuffer: monitorReadBuffer,
-		})
+		u, err := transport.ListenUDPOpts("127.0.0.1:0", transport.MonitorIngest(transport.UDPOptions{Batch: 32}))
 		if err != nil {
 			out.closeFrom(0)
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/netsim"
@@ -23,8 +22,8 @@ type simSender struct {
 	interval clock.Duration
 	seq      uint64
 
-	crashAt              clock.Time // 0 = never
-	pauseFrom, pauseTo   clock.Time // zero window = never
+	crashAt            clock.Time // 0 = never
+	pauseFrom, pauseTo clock.Time // zero window = never
 }
 
 func (s *simSender) beat(now clock.Time) {
@@ -195,7 +194,7 @@ func TestFleet10kStreamsDeterministic(t *testing.T) {
 	now := sim.Now()
 	for _, peer := range []string{"srv-0150", "srv-5000", "srv-9999"} {
 		st, ok := reg.StatusOf(peer, now)
-		if !ok || st != cluster.StatusActive {
+		if !ok || st != StatusActive {
 			t.Fatalf("%s status = %v (ok=%v), want active", peer, st, ok)
 		}
 	}

@@ -6,13 +6,15 @@
 // failure-event bus pushing typed transitions to subscribers over
 // bounded channels with drop-oldest backpressure.
 //
-// The cluster.Monitor keeps a flat map behind one mutex and classifies
-// peers only when queried; the Registry is its event-driven sibling for
-// tens of thousands of streams. It reuses the cluster package's status
-// model (active / busy / suspected / offline) so snapshots render on the
-// same status board, and it runs unchanged over the real clock (UDP
-// stack) or clock.Sim (netsim), keeping fleet-scale scenarios
-// deterministic.
+// It is the repository's one monitor core: the live daemon, the load
+// harness, gossip, federation, the simulated consortium (cluster), the
+// consensus layer and the public facade all run on it. Status (active /
+// busy / suspected / offline), Report and the status-board formatters
+// live here too, so every snapshot renders on the same board. It runs
+// unchanged over the real clock (UDP stack) or clock.Sim (netsim); an
+// unstarted registry classifies at query time from the detector's
+// suspicion level alone, which keeps small simulations deterministic
+// without a wheel driver.
 package registry
 
 import (
@@ -21,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/fanout"
@@ -34,6 +35,16 @@ import (
 // Factory builds a fresh detector for a newly registered stream.
 type Factory func(peer string) detector.Detector
 
+// DefaultFactory returns SFD instances with the paper's defaults and the
+// given QoS targets.
+func DefaultFactory(targets core.Targets) Factory {
+	return func(string) detector.Detector {
+		cfg := core.DefaultConfig()
+		cfg.Targets = targets
+		return core.New(cfg)
+	}
+}
+
 // Options tunes a Registry. Zero values take the documented defaults;
 // negative durations disable the corresponding mechanism where noted.
 type Options struct {
@@ -43,8 +54,9 @@ type Options struct {
 	// WheelTick is the timer-wheel granularity — transitions fire within
 	// one tick of their deadline (default 10 ms).
 	WheelTick clock.Duration
-	// BusyLevel and SuspectLevel classify snapshot queries exactly as
-	// cluster.Options does (defaults 0.5 and 1.0).
+	// BusyLevel and SuspectLevel classify snapshot queries on the
+	// accrual suspicion scale (defaults 0.5 and 1.0); binary detectors
+	// map trust→0 and suspect→SuspectLevel.
 	BusyLevel    float64
 	SuspectLevel float64
 	// OfflineAfter is how long a stream stays suspected before it is
@@ -274,7 +286,7 @@ func New(clk clock.Clock, factory Factory, opts Options) *Registry {
 		clk = clock.NewReal()
 	}
 	if factory == nil {
-		factory = func(string) detector.Detector { return core.New(core.DefaultConfig()) }
+		factory = DefaultFactory(core.Targets{})
 	}
 	opts.normalize()
 	r := &Registry{
@@ -639,56 +651,57 @@ func (r *Registry) IncarnationOf(peer string) (uint64, bool) {
 	return st.inc, true
 }
 
-// StatusOf classifies one stream at instant now using the cluster
-// status model; ok is false for unknown peers.
-func (r *Registry) StatusOf(peer string, now clock.Time) (cluster.Status, bool) {
+// StatusOf classifies one stream at instant now; ok is false for
+// unknown peers.
+func (r *Registry) StatusOf(peer string, now clock.Time) (Status, bool) {
 	sh := r.shardFor(peer)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.streams[peer]
 	if st == nil {
-		return cluster.StatusUnknown, false
+		return StatusUnknown, false
 	}
 	s, _ := r.classify(st, now)
 	return s, true
 }
 
 // classify maps a stream's phase (plus the accrual level for the
-// busy/active refinement) onto cluster.Status. Shard lock must be held.
-func (r *Registry) classify(st *stream, now clock.Time) (cluster.Status, float64) {
+// busy/active refinement) onto Status. Shard lock must be held.
+func (r *Registry) classify(st *stream, now clock.Time) (Status, float64) {
 	if !st.seen {
-		return cluster.StatusUnknown, 0
+		return StatusUnknown, 0
 	}
 	lvl := r.level(st, now)
 	switch st.phase {
 	case phaseOffline:
-		return cluster.StatusOffline, lvl
+		return StatusOffline, lvl
 	case phaseSuspected:
-		return cluster.StatusSuspected, lvl
+		return StatusSuspected, lvl
 	default:
 		switch {
 		case lvl >= r.opts.SuspectLevel:
 			// The wheel has not fired yet this tick; report what the
 			// detector already knows.
-			return cluster.StatusSuspected, lvl
+			return StatusSuspected, lvl
 		case lvl >= r.opts.BusyLevel:
-			return cluster.StatusBusy, lvl
+			return StatusBusy, lvl
 		default:
-			return cluster.StatusActive, lvl
+			return StatusActive, lvl
 		}
 	}
 }
 
 // Snapshot reports every stream at instant now, sorted by peer name —
-// the same shape cluster.Monitor produces, so cluster.FormatSnapshot
-// renders it unchanged.
-func (r *Registry) Snapshot(now clock.Time) []cluster.Report {
-	out := make([]cluster.Report, 0, r.Len())
+// the "guidance" the paper's PlanetLab motivation asks for ("it is
+// impractical to login one by one without any guidance"); FormatSnapshot
+// renders it as a status board.
+func (r *Registry) Snapshot(now clock.Time) []Report {
+	out := make([]Report, 0, r.Len())
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for name, st := range sh.streams {
 			status, lvl := r.classify(st, now)
-			out = append(out, cluster.Report{
+			out = append(out, Report{
 				Peer:           name,
 				Status:         status,
 				SuspicionLevel: lvl,

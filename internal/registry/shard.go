@@ -8,7 +8,7 @@ import (
 )
 
 // phase is a stream's position in the event-driven status machine. It is
-// coarser than cluster.Status: busy/active are query-time refinements of
+// coarser than Status: busy/active are query-time refinements of
 // phaseTrusted, while suspect/offline transitions are driven by the
 // timer wheel and published on the bus.
 type phase uint8

@@ -170,6 +170,27 @@ func (o *UDPOptions) normalize() {
 	}
 }
 
+// MonitorIngest returns o with its receive path sized for a monitor's
+// heartbeat socket. It asks for a deep kernel receive buffer (at 50k
+// heartbeats/s the ~208 KiB SO_RCVBUF default holds under 5 ms of
+// traffic, so one GC pause sheds a burst of datagrams — which the
+// detector reads as correlated heartbeat loss across thousands of
+// streams) and a receive-buffer pool sized to cover the whole ingest
+// queue. The pool cap matters more than the queue depth: once in-flight
+// buffers exceed the pool, every further datagram allocates a fresh
+// 64 KiB buffer, and at fleet scale that GC pressure slows the consumer
+// further — a feedback loop that turns a 10 ms lag into seconds of
+// queue delay. The queue itself stays at its default depth on purpose:
+// past ~100 ms of backlog a heartbeat is as good as lost, so shedding
+// (counted in udp_dropped) beats delaying. The zero UDPOptions defaults
+// are left as they are for sockets that carry little traffic.
+func MonitorIngest(o UDPOptions) UDPOptions {
+	o.ReadBuffer = 8 << 20 // the kernel caps it at net.core.rmem_max
+	o.QueueLen = 4096
+	o.PoolBuffers = o.QueueLen + 128
+	return o
+}
+
 // udpReader is the receive primitive behind the read loop: one call
 // delivers one batch (≥ 1 datagrams) into pooled buffers via emit, or
 // returns the read error for the loop's retry policy to classify. The

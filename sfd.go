@@ -15,14 +15,16 @@
 //   - Synthetic WAN heartbeat traces calibrated to the paper's Table II
 //     (TracePreset, NewTraceGenerator), plus binary/CSV codecs.
 //   - A live heartbeat stack over UDP or in-memory transports
-//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP) and a
-//     cloud-monitoring layer (NewMonitor, Quorum) implementing the
-//     paper's "one monitors multiple" deployment.
-//   - A fleet-scale monitoring registry (NewRegistry): lock-striped
-//     shards, a hierarchical timer wheel firing suspect transitions,
-//     and a bounded drop-oldest failure-event bus — firehose
-//     (Subscribe) or interest-routed over hierarchical stream names
-//     with MQTT-style `+`/`#` wildcards (SubscribeTopic, MatchTopic).
+//     (NewHeartbeatSender, NewHeartbeatReceiver, ListenUDP).
+//   - One monitor core, the fleet-scale monitoring registry
+//     (NewRegistry), implementing the paper's "one monitors multiple"
+//     deployment: lock-striped shards, a hierarchical timer wheel
+//     firing suspect transitions, the active / busy / suspected /
+//     offline status model, a Quorum over several registries
+//     ("multiple monitor multiple"), and a bounded drop-oldest
+//     failure-event bus — firehose (Subscribe) or interest-routed over
+//     hierarchical stream names with MQTT-style `+`/`#` wildcards
+//     (SubscribeTopic, MatchTopic).
 //   - A gossip dissemination layer between monitors (NewGossiper):
 //     anti-entropy suspicion digests, accuracy-weighted quorum
 //     corroboration, and SWIM-style incarnation refutation, publishing
@@ -304,6 +306,11 @@ type (
 	BufPoolStats = transport.BufPoolStats
 )
 
+// MonitorIngest returns o with its receive path sized for a monitor's
+// heartbeat socket: a deep SO_RCVBUF request and a buffer pool covering
+// the whole ingest queue (see transport.MonitorIngest).
+func MonitorIngest(o UDPOptions) UDPOptions { return transport.MonitorIngest(o) }
+
 // ListenUDPOpts opens a UDP endpoint with explicit receive-path tuning.
 func ListenUDPOpts(addr string, opts UDPOptions) (*transport.UDP, error) {
 	return transport.ListenUDPOpts(addr, opts)
@@ -335,39 +342,32 @@ func NewProber(ep Endpoint, to string, clk Clock) *Prober {
 	return heartbeat.NewProber(ep, to, clk)
 }
 
-// Cloud-monitoring layer.
+// Cloud-monitoring layer: the status model every Registry reports in.
 type (
-	// Monitor watches many peers, one detector each.
-	Monitor = cluster.Monitor
-	// MonitorOptions tunes status thresholds.
-	MonitorOptions = cluster.Options
 	// MonitorReport is a point-in-time view of one peer.
-	MonitorReport = cluster.Report
+	MonitorReport = registry.Report
 	// PeerStatus classifies a monitored server.
-	PeerStatus = cluster.Status
+	PeerStatus = registry.Status
+	// StatusSource classifies peers at an instant; *Registry satisfies it.
+	StatusSource = cluster.StatusSource
 	// Quorum aggregates several monitors ("multiple monitor multiple").
 	Quorum = cluster.Quorum
 	// DetectorFactory builds a detector per watched peer.
-	DetectorFactory = cluster.Factory
+	DetectorFactory = registry.Factory
 )
 
 // Peer status values (the paper's active / busy / offline classification).
 const (
-	PeerUnknown   = cluster.StatusUnknown
-	PeerActive    = cluster.StatusActive
-	PeerBusy      = cluster.StatusBusy
-	PeerSuspected = cluster.StatusSuspected
-	PeerOffline   = cluster.StatusOffline
+	PeerUnknown   = registry.StatusUnknown
+	PeerActive    = registry.StatusActive
+	PeerBusy      = registry.StatusBusy
+	PeerSuspected = registry.StatusSuspected
+	PeerOffline   = registry.StatusOffline
 )
-
-// NewMonitor builds a Monitor; a nil factory defaults to SFD instances.
-func NewMonitor(clk Clock, f DetectorFactory, opts MonitorOptions) *Monitor {
-	return cluster.NewMonitor(clk, f, opts)
-}
 
 // SFDFactory returns a DetectorFactory producing SFDs with the given
 // targets and otherwise default configuration.
-func SFDFactory(targets Targets) DetectorFactory { return cluster.DefaultFactory(targets) }
+func SFDFactory(targets Targets) DetectorFactory { return registry.DefaultFactory(targets) }
 
 // Reactor implements the paper's graduated-reaction pattern (§I):
 // applications register actions at ascending suspicion thresholds; each
@@ -380,22 +380,22 @@ type ActionFunc = cluster.ActionFunc
 // NewReactor returns an empty graduated-reaction registry.
 func NewReactor() *Reactor { return cluster.NewReactor() }
 
-// FormatSnapshot renders a Monitor snapshot as an aligned status board.
-func FormatSnapshot(reports []MonitorReport) string { return cluster.FormatSnapshot(reports) }
+// FormatSnapshot renders a Registry snapshot as an aligned status board.
+func FormatSnapshot(reports []MonitorReport) string { return registry.FormatSnapshot(reports) }
 
 // SummarizeSnapshot counts a snapshot by status and lists the peers
 // needing attention.
 func SummarizeSnapshot(reports []MonitorReport) (map[PeerStatus]int, []string) {
-	return cluster.Summarize(reports)
+	return registry.Summarize(reports)
 }
 
-// Elector implements Ω (eventual leader election) over a Monitor: the
-// leader is the smallest-ranked candidate not currently suspected.
+// Elector implements Ω (eventual leader election) over a StatusSource:
+// the leader is the smallest-ranked candidate not currently suspected.
 type Elector = cluster.Elector
 
 // NewElector builds an elector for the candidate set; self is this
 // process's own name and mon must watch the other candidates.
-func NewElector(self string, mon *Monitor, candidates []string) *Elector {
+func NewElector(self string, mon StatusSource, candidates []string) *Elector {
 	return cluster.NewElector(self, mon, candidates)
 }
 
@@ -444,11 +444,7 @@ const (
 // Start to arm the timer wheel, Observe per heartbeat arrival, and
 // Subscribe to consume transition events.
 func NewRegistry(clk Clock, f DetectorFactory, opts RegistryOptions) *Registry {
-	var rf registry.Factory
-	if f != nil {
-		rf = registry.Factory(f)
-	}
-	return registry.New(clk, rf, opts)
+	return registry.New(clk, f, opts)
 }
 
 // Interest-routed subscriptions: stream names are hierarchical
