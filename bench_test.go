@@ -8,6 +8,7 @@ package sfd_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	sfd "repro"
@@ -236,6 +237,50 @@ func BenchmarkRegistryIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// registrySFDSizes stops the SFD variant at 100k: each stream carries the
+// paper's WS = 1000 arrival window, so 1m streams would need ≈9 GB.
+var registrySFDSizes = registryFleetSizes[:3]
+
+// BenchmarkRegistryIngestSFD is BenchmarkRegistryIngest with the detector
+// the paper runs, registry.DefaultFactory's SFD. Besides the per-
+// heartbeat cost it reports B/stream: the live-heap growth, after a
+// forced GC, from registering the fleet, divided by the stream count.
+func BenchmarkRegistryIngestSFD(b *testing.B) {
+	for _, size := range registrySFDSizes {
+		b.Run(size.name, func(b *testing.B) {
+			peers := make([]string, size.n)
+			seqs := make([]uint64, size.n)
+			for i := range peers {
+				peers[i] = fmt.Sprintf("srv-%06d", i)
+			}
+			reg := sfd.NewRegistry(sfd.NewSimClock(0), sfd.SFDFactory(sfd.Targets{}), sfd.RegistryOptions{Shards: 64})
+			before := liveHeap()
+			for i := range peers {
+				reg.Observe(sfd.HeartbeatArrival{From: peers[i], Seq: 0, Send: 0, Recv: 0})
+				seqs[i] = 1
+			}
+			perStream := float64(liveHeap()-before) / float64(size.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := i % size.n
+				at := clock.Time(i) * clock.Time(clock.Microsecond)
+				reg.Observe(sfd.HeartbeatArrival{From: peers[p], Seq: seqs[p], Send: at, Recv: at})
+				seqs[p]++
+			}
+			b.ReportMetric(perStream, "B/stream")
+		})
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // BenchmarkRegistryIngestPersist is BenchmarkRegistryIngest with

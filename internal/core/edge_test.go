@@ -124,3 +124,37 @@ func (f *fixedShim) Reset()                      { *f = fixedShim{timeout: f.tim
 // Tunable implementation.
 func (f *fixedShim) TuningParam() clock.Duration     { return f.timeout }
 func (f *fixedShim) SetTuningParam(d clock.Duration) { f.timeout = d }
+
+var sinkSFD *SFD
+
+// TestSFDAllocs pins the per-stream allocation count: the estimator and
+// the gap-average EWMA are embedded by value, so a paper-default detector
+// is its header plus one preallocated sample buffer, and Reset reuses
+// both.
+func TestSFDAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { sinkSFD = New(DefaultConfig()) }); n > 2 {
+		t.Fatalf("New(DefaultConfig()) = %v allocs, want <= 2", n)
+	}
+	s := New(DefaultConfig())
+	feedSFD(s, 50, 100*msC, 2*msC, 0, 7)
+	if n := testing.AllocsPerRun(100, s.Reset); n != 0 {
+		t.Fatalf("Reset = %v allocs, want 0", n)
+	}
+}
+
+// TestSFDFreshnessAfterLongUptime runs the detector on a clock.Real-style
+// time base 110 days after process start, where an int64 sum of a full
+// window's arrivals no longer fits: the freshness point must still lie
+// one interval plus the margin after the last arrival.
+func TestSFDFreshnessAfterLongUptime(t *testing.T) {
+	s := New(Config{Interval: clock.Second, SlotHeartbeats: 1 << 30})
+	base := clock.Time(110 * 24 * 3600 * clock.Second)
+	var recv clock.Time
+	for i := 0; i < 1500; i++ {
+		recv = base.Add(clock.Duration(i) * clock.Second)
+		s.Observe(uint64(i), recv, recv)
+	}
+	if want := recv.Add(clock.Second + s.Margin()); s.FreshnessPoint() != want {
+		t.Fatalf("freshness point %d, want %d (last arrival %d)", s.FreshnessPoint(), want, recv)
+	}
+}

@@ -127,7 +127,7 @@ type Adjustment struct {
 // detector.Detector and detector.Accrual.
 type SFD struct {
 	cfg Config
-	est *detector.ArrivalEstimator
+	est detector.ArrivalEstimator
 
 	margin clock.Duration
 	fp     clock.Time
@@ -142,7 +142,7 @@ type SFD struct {
 	lastSend  clock.Time
 	lastDelay clock.Duration
 	haveSeq   bool
-	gapAvg    *stats.EWMA // n_ag: average observed adjacent-gap length
+	gapAvg    stats.EWMA // n_ag: average observed adjacent-gap length
 
 	// Adaptive-step state (Config.AdaptiveStep).
 	stepScale float64 // multiplier on β·α, in [1/16, 1]
@@ -194,9 +194,9 @@ func New(cfg Config) *SFD {
 	}
 	return &SFD{
 		cfg:       cfg,
-		est:       detector.NewArrivalEstimator(cfg.WindowSize, cfg.Interval),
+		est:       detector.MakeArrivalEstimator(cfg.WindowSize, cfg.Interval),
 		margin:    cfg.InitialMargin,
-		gapAvg:    stats.NewEWMA(0.1),
+		gapAvg:    stats.MakeEWMA(0.1),
 		stepScale: 1,
 	}
 }
@@ -423,7 +423,7 @@ func (s *SFD) Reset() {
 	s.slot = slotEvaluator{}
 	s.slotIndex, s.slotCount = 0, 0
 	s.lastSeq, s.lastSend, s.lastDelay, s.haveSeq = 0, 0, 0, false
-	s.gapAvg = stats.NewEWMA(0.1)
+	s.gapAvg.Reset()
 	s.stepScale, s.lastDir = 1, 0
 	s.rewarmLeft, s.rewarmGapSkip = 0, false
 	s.history = nil

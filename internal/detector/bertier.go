@@ -35,7 +35,7 @@ func DefaultBertierParams() BertierParams {
 // (aggressive) point to the paper's QoS figures.
 type Bertier struct {
 	params BertierParams
-	est    *ArrivalEstimator
+	est    ArrivalEstimator
 
 	delay float64 // smoothed estimation error (ns)
 	vr    float64 // smoothed error magnitude (ns)
@@ -48,7 +48,7 @@ func NewBertier(ws int, interval clock.Duration, p BertierParams) *Bertier {
 	if p == (BertierParams{}) {
 		p = DefaultBertierParams()
 	}
-	return &Bertier{params: p, est: NewArrivalEstimator(ws, interval)}
+	return &Bertier{params: p, est: MakeArrivalEstimator(ws, interval)}
 }
 
 // Observe implements Detector.

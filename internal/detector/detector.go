@@ -11,8 +11,9 @@
 package detector
 
 import (
+	"math/bits"
+
 	"repro/internal/clock"
-	"repro/internal/window"
 )
 
 // DefaultWindowSize is the sliding-window size used throughout the
@@ -63,43 +64,126 @@ type Accrual interface {
 // estimator follows §IV-C of the paper and uses the average inter-arrival
 // time observed in the window.
 //
-// Sums are carried in int64/int128-free form: Σ A_i and Σ i stay within
-// int64 for window sizes up to ~9000 on month-long runs.
+// The window costs one uint64 word per sample. The oldest and newest
+// samples are kept whole; every other sample is stored as its delta from
+// the sample before it, packed as a 16-bit sequence step under a 48-bit
+// signed arrival delta in ns (steps below 65,535, gaps within ±39 h). A
+// sample whose delta does not fit stores the escape word and its full
+// value goes on a FIFO side slice, which evictions pop from the front, so
+// it never holds more than the window size. Eviction rebuilds the new
+// oldest sample from the old one plus the next word, so Σ A_i and Σ i are
+// maintained exactly. The sums are 128-bit and cannot wrap: at WS = 1000
+// an int64 Σ A_i overflows once arrivals pass ≈ 106 days of monitor
+// uptime.
 type ArrivalEstimator struct {
 	interval clock.Duration // configured Δt; 0 ⇒ estimate from window
-	win      *window.Ring[arrival]
-	sumRecv  int64 // Σ A_i (ns)
-	sumSeq   int64 // Σ i
-	lastSeq  uint64
-	lastRecv clock.Time
-	have     bool
+	buf      []uint64       // delta words; buf[head] is the oldest's slot, unused
+	head     int
+	n        int
+	esc      []ArrivalSample // escaped samples, oldest at escHead
+	escHead  int
+	oldest   ArrivalSample
+	newest   ArrivalSample
+	sumRecv  int128 // Σ A_i (ns)
+	sumSeq   int128 // Σ i
 }
 
-type arrival struct {
-	seq  uint64
-	recv clock.Time
-}
+const (
+	stepBits = 16
+	// escape is the word stored for a sample that lives on the escape
+	// FIFO. No delta word equals it: their steps stop one short of it.
+	escape = 1<<stepBits - 1
+)
 
-// NewArrivalEstimator returns an estimator over a window of ws received
-// heartbeats. interval is the known sending interval Δt, or 0 to estimate
-// it from the window.
-func NewArrivalEstimator(ws int, interval clock.Duration) *ArrivalEstimator {
+// MakeArrivalEstimator returns an estimator over a window of ws received
+// heartbeats, by value so that detectors can embed it. interval is the
+// known sending interval Δt, or 0 to estimate it from the window. The
+// sample buffer is allocated at full capacity up front.
+func MakeArrivalEstimator(ws int, interval clock.Duration) ArrivalEstimator {
 	if ws <= 0 {
 		ws = DefaultWindowSize
 	}
-	return &ArrivalEstimator{interval: interval, win: window.NewRing[arrival](ws)}
+	return ArrivalEstimator{interval: interval, buf: make([]uint64, ws)}
 }
 
 // Observe records an arrival.
 func (e *ArrivalEstimator) Observe(seq uint64, recv clock.Time) {
-	old, evicted := e.win.Push(arrival{seq: seq, recv: recv})
-	if evicted {
-		e.sumRecv -= int64(old.recv)
-		e.sumSeq -= int64(old.seq)
+	s := ArrivalSample{Seq: seq, Recv: recv}
+	if e.n == len(e.buf) {
+		// Evict the oldest: the next word turns into the new oldest, and
+		// the freed slot is the one the new sample's word lands in.
+		e.sumRecv = e.sumRecv.sub(i128(int64(e.oldest.Recv)))
+		e.sumSeq = e.sumSeq.sub(int128{lo: e.oldest.Seq})
+		e.n--
+		if e.n > 0 {
+			e.head = e.wrap(e.head + 1)
+			e.oldest = e.unpack(e.oldest, e.buf[e.head])
+		}
 	}
-	e.sumRecv += int64(recv)
-	e.sumSeq += int64(seq)
-	e.lastSeq, e.lastRecv, e.have = seq, recv, true
+	if e.n == 0 {
+		e.oldest = s
+	} else {
+		w := pack(e.newest, s)
+		if w == escape {
+			e.pushEscape(s)
+		}
+		e.buf[e.wrap(e.head+e.n)] = w
+	}
+	e.n++
+	e.newest = s
+	e.sumRecv = e.sumRecv.add(i128(int64(recv)))
+	e.sumSeq = e.sumSeq.add(int128{lo: seq})
+}
+
+func (e *ArrivalEstimator) wrap(i int) int {
+	if i >= len(e.buf) {
+		i -= len(e.buf)
+	}
+	return i
+}
+
+// pack encodes s as its delta from prev, or returns escape when the
+// delta does not fit one word. The arithmetic wraps mod 2^64 both ways,
+// so any delta that fits decodes exactly.
+func pack(prev, s ArrivalSample) uint64 {
+	step := s.Seq - prev.Seq
+	d := int64(s.Recv - prev.Recv)
+	if step >= escape || d<<stepBits>>stepBits != d {
+		return escape
+	}
+	return uint64(d)<<stepBits | step
+}
+
+func decode(prev ArrivalSample, w uint64) ArrivalSample {
+	return ArrivalSample{Seq: prev.Seq + w&escape, Recv: prev.Recv + clock.Time(int64(w)>>stepBits)}
+}
+
+// unpack decodes the sample after prev from word w, popping the escape
+// FIFO for escaped words: evictions meet escaped samples in the order
+// they were pushed.
+func (e *ArrivalEstimator) unpack(prev ArrivalSample, w uint64) ArrivalSample {
+	if w != escape {
+		return decode(prev, w)
+	}
+	s := e.esc[e.escHead]
+	e.escHead++
+	if e.escHead == len(e.esc) {
+		e.esc, e.escHead = e.esc[:0], 0
+	}
+	return s
+}
+
+// pushEscape appends s to the escape FIFO. It holds at most one entry per
+// non-oldest sample, so its capacity is kept within the window size.
+func (e *ArrivalEstimator) pushEscape(s ArrivalSample) {
+	if len(e.esc) == cap(e.esc) {
+		live := e.esc[e.escHead:]
+		if e.escHead == 0 {
+			e.esc = make([]ArrivalSample, 0, min(max(2*len(live), 4), len(e.buf)))
+		}
+		e.esc, e.escHead = e.esc[:copy(e.esc[:len(live)], live)], 0
+	}
+	e.esc = append(e.esc, s)
 }
 
 // Interval returns the Δt in effect: the configured one, or the window
@@ -109,41 +193,51 @@ func (e *ArrivalEstimator) Interval() clock.Duration {
 	if e.interval > 0 {
 		return e.interval
 	}
-	n := e.win.Len()
-	if n < 2 {
+	if e.n < 2 {
 		return 0
 	}
-	oldest, _ := e.win.Oldest()
-	newest, _ := e.win.Newest()
-	seqSpan := newest.seq - oldest.seq
+	seqSpan := e.newest.Seq - e.oldest.Seq
 	if seqSpan == 0 {
 		return 0
 	}
-	return newest.recv.Sub(oldest.recv) / clock.Duration(seqSpan)
+	return e.newest.Recv.Sub(e.oldest.Recv) / clock.Duration(seqSpan)
 }
 
 // Expected returns EA_{k+1}: the estimated arrival time of the next
 // heartbeat (sequence lastSeq+1). ok is false until at least one arrival
 // (and, with estimated Δt, two) has been observed.
 func (e *ArrivalEstimator) Expected() (clock.Time, bool) {
-	n := e.win.Len()
-	if !e.have || n == 0 {
+	if e.n == 0 {
 		return 0, false
 	}
 	dt := e.Interval()
 	if dt <= 0 {
 		return 0, false
 	}
-	// (1/n)·Σ(A_i − Δt·i) + (k+1)·Δt
-	meanShift := float64(e.sumRecv)/float64(n) - float64(dt)*float64(e.sumSeq)/float64(n)
-	ea := meanShift + float64(dt)*float64(e.lastSeq+1)
-	return clock.Time(ea), true
+	n := float64(e.n)
+	sumRecv, okRecv := e.sumRecv.int64()
+	sumSeq, okSeq := e.sumSeq.int64()
+	if okRecv && okSeq {
+		// (1/n)·Σ(A_i − Δt·i) + (k+1)·Δt
+		meanShift := float64(sumRecv)/n - float64(dt)*float64(sumSeq)/n
+		ea := meanShift + float64(dt)*float64(e.newest.Seq+1)
+		return clock.Time(ea), true
+	}
+	// Sums past int64: the same formula anchored at the newest sample,
+	// A_k + Δt + (1/n)·Σ((A_i − A_k) − Δt·(i − k)). The anchored sums are
+	// window-sized, so float64 keeps them to the nanosecond for any
+	// realistic window.
+	nn := uint64(e.n)
+	dRecv := e.sumRecv.sub(i128(int64(e.newest.Recv)).mul(nn))
+	dSeq := e.sumSeq.sub(int128{lo: e.newest.Seq}.mul(nn))
+	corr := dRecv.float()/n - float64(dt)*dSeq.float()/n
+	return e.newest.Recv.Add(dt + clock.Duration(corr)), true
 }
 
 // Last returns the sequence number and arrival time of the most recent
 // heartbeat.
 func (e *ArrivalEstimator) Last() (seq uint64, recv clock.Time, ok bool) {
-	return e.lastSeq, e.lastRecv, e.have
+	return e.newest.Seq, e.newest.Recv, e.n > 0
 }
 
 // ArrivalSample is one (sequence, arrival) pair of the estimation window
@@ -158,9 +252,20 @@ type ArrivalSample struct {
 // monitor carry a stream's learned arrival distribution across process
 // lives instead of re-entering warmup.
 func (e *ArrivalEstimator) Export(dst []ArrivalSample) []ArrivalSample {
-	e.win.Do(func(a arrival) {
-		dst = append(dst, ArrivalSample{Seq: a.seq, Recv: a.recv})
-	})
+	if e.n == 0 {
+		return dst
+	}
+	s, esc := e.oldest, e.escHead
+	dst = append(dst, s)
+	for i := 1; i < e.n; i++ {
+		if w := e.buf[e.wrap(e.head+i)]; w == escape {
+			s = e.esc[esc]
+			esc++
+		} else {
+			s = decode(s, w)
+		}
+		dst = append(dst, s)
+	}
 	return dst
 }
 
@@ -170,7 +275,7 @@ func (e *ArrivalEstimator) Export(dst []ArrivalSample) []ArrivalSample {
 // Cap() entries, matching what a live estimator would hold.
 func (e *ArrivalEstimator) Import(samples []ArrivalSample) {
 	e.Reset()
-	if n := len(samples) - e.win.Cap(); n > 0 {
+	if n := len(samples) - e.Cap(); n > 0 {
 		samples = samples[n:]
 	}
 	for _, s := range samples {
@@ -178,15 +283,65 @@ func (e *ArrivalEstimator) Import(samples []ArrivalSample) {
 	}
 }
 
+// Cap returns the window size.
+func (e *ArrivalEstimator) Cap() int { return len(e.buf) }
+
 // Full reports whether the estimation window is full.
-func (e *ArrivalEstimator) Full() bool { return e.win.Full() }
+func (e *ArrivalEstimator) Full() bool { return e.n == len(e.buf) }
 
 // Len returns the number of arrivals currently in the window.
-func (e *ArrivalEstimator) Len() int { return e.win.Len() }
+func (e *ArrivalEstimator) Len() int { return e.n }
 
-// Reset clears all state.
+// Reset clears all state, keeping the sample buffer.
 func (e *ArrivalEstimator) Reset() {
-	e.win.Reset()
-	e.sumRecv, e.sumSeq = 0, 0
-	e.lastSeq, e.lastRecv, e.have = 0, 0, false
+	e.head, e.n = 0, 0
+	e.esc, e.escHead = e.esc[:0], 0
+	e.oldest, e.newest = ArrivalSample{}, ArrivalSample{}
+	e.sumRecv, e.sumSeq = int128{}, int128{}
+}
+
+// int128 is a two's-complement 128-bit integer, wide enough that the
+// window sums carry instead of wrapping.
+type int128 struct {
+	hi int64
+	lo uint64
+}
+
+func i128(x int64) int128 { return int128{hi: x >> 63, lo: uint64(x)} }
+
+func (a int128) add(b int128) int128 {
+	lo, c := bits.Add64(a.lo, b.lo, 0)
+	return int128{hi: a.hi + b.hi + int64(c), lo: lo}
+}
+
+func (a int128) sub(b int128) int128 {
+	lo, c := bits.Sub64(a.lo, b.lo, 0)
+	return int128{hi: a.hi - b.hi - int64(c), lo: lo}
+}
+
+// mul returns a·m, exact while the product fits in 128 bits.
+func (a int128) mul(m uint64) int128 {
+	hi, lo := bits.Mul64(a.lo, m)
+	return int128{hi: a.hi*int64(m) + int64(hi), lo: lo}
+}
+
+// int64 returns a and whether it fits in an int64.
+func (a int128) int64() (int64, bool) {
+	return int64(a.lo), a.hi == int64(a.lo)>>63
+}
+
+// float returns a rounded to float64.
+func (a int128) float() float64 {
+	if v, ok := a.int64(); ok {
+		return float64(v)
+	}
+	neg := a.hi < 0
+	if neg {
+		a = int128{}.sub(a)
+	}
+	f := float64(uint64(a.hi))*0x1p64 + float64(a.lo)
+	if neg {
+		f = -f
+	}
+	return f
 }

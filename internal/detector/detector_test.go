@@ -24,7 +24,7 @@ func feedRegular(d Detector, n int, iv, delay clock.Duration) clock.Time {
 }
 
 func TestArrivalEstimatorRegular(t *testing.T) {
-	e := NewArrivalEstimator(10, 100*msD)
+	e := MakeArrivalEstimator(10, 100*msD)
 	for i := 0; i < 5; i++ {
 		e.Observe(uint64(i), clock.Time(i)*clock.Time(100*msD))
 	}
@@ -39,7 +39,7 @@ func TestArrivalEstimatorRegular(t *testing.T) {
 }
 
 func TestArrivalEstimatorEstimatedInterval(t *testing.T) {
-	e := NewArrivalEstimator(10, 0)
+	e := MakeArrivalEstimator(10, 0)
 	if _, ok := e.Expected(); ok {
 		t.Fatal("Expected ready with no data")
 	}
@@ -62,7 +62,7 @@ func TestArrivalEstimatorEstimatedInterval(t *testing.T) {
 func TestArrivalEstimatorLossGap(t *testing.T) {
 	// Sequence 0,1,2,5,6 — gap of 2 lost heartbeats. With interval
 	// estimated per sequence step, Interval stays ≈ the true Δt.
-	e := NewArrivalEstimator(10, 0)
+	e := MakeArrivalEstimator(10, 0)
 	for _, seq := range []uint64{0, 1, 2, 5, 6} {
 		e.Observe(seq, clock.Time(seq)*clock.Time(50*msD))
 	}
@@ -76,7 +76,7 @@ func TestArrivalEstimatorLossGap(t *testing.T) {
 }
 
 func TestArrivalEstimatorEviction(t *testing.T) {
-	e := NewArrivalEstimator(3, 10*msD)
+	e := MakeArrivalEstimator(3, 10*msD)
 	for i := 0; i < 20; i++ {
 		e.Observe(uint64(i), clock.Time(i)*clock.Time(10*msD))
 	}
@@ -91,7 +91,7 @@ func TestArrivalEstimatorEviction(t *testing.T) {
 
 func TestArrivalEstimatorConstantOffsetDelay(t *testing.T) {
 	// Constant network delay shifts EA by exactly that delay.
-	e := NewArrivalEstimator(10, 100*msD)
+	e := MakeArrivalEstimator(10, 100*msD)
 	const delay = 35 * msD
 	for i := int64(0); i < 8; i++ {
 		e.Observe(uint64(i), clock.Time(i*100*int64(msD)+int64(delay)))
@@ -104,7 +104,7 @@ func TestArrivalEstimatorConstantOffsetDelay(t *testing.T) {
 }
 
 func TestArrivalEstimatorReset(t *testing.T) {
-	e := NewArrivalEstimator(4, 10*msD)
+	e := MakeArrivalEstimator(4, 10*msD)
 	e.Observe(0, 5)
 	e.Reset()
 	if _, _, ok := e.Last(); ok {

@@ -145,10 +145,16 @@ type EWMA struct {
 
 // NewEWMA returns an EWMA with the given gain in (0,1].
 func NewEWMA(gain float64) *EWMA {
+	e := MakeEWMA(gain)
+	return &e
+}
+
+// MakeEWMA is NewEWMA by value, for owners that embed the average.
+func MakeEWMA(gain float64) EWMA {
 	if gain <= 0 || gain > 1 {
 		panic("stats: EWMA gain must be in (0,1]")
 	}
-	return &EWMA{gain: gain}
+	return EWMA{gain: gain}
 }
 
 // Add folds in an observation. The first observation initializes the
@@ -169,3 +175,6 @@ func (e *EWMA) Initialized() bool { return e.init }
 
 // Set forces the current value (used to seed estimators).
 func (e *EWMA) Set(x float64) { e.value, e.init = x, true }
+
+// Reset forgets every observation, keeping the gain.
+func (e *EWMA) Reset() { e.value, e.init = 0, false }
